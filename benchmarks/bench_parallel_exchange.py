@@ -1,53 +1,28 @@
-"""Shard-parallel exchange and solution caching vs the serial chase.
+"""The fingerprint-keyed solution cache vs a cold exchange.
 
-Measures the two levers of :mod:`repro.exec` on a clustered join
-workload (``Emp(n, d), Dept(d, h) → ∃m Office(n, h, m)`` with ``size``
-employees spread over ``size // dept_ratio`` departments — many small
-premise co-occurrence components, the shape sharding likes):
+Measures the cache of :mod:`repro.exec` on a clustered join workload
+(``Emp(n, d), Dept(d, h) → ∃m Office(n, h, m)`` with ``size`` employees
+spread over ``size // dept_ratio`` departments): a cold exchange (the
+first one fills the cache, the rest are serial chases of fresh copies)
+vs a cache hit.  Hits are measured on *fresh equal copies* of the
+source, so each timed hit pays the full content-fingerprint cost a
+request stream would pay.  ``--backend sqlite`` additionally records the
+SQL backend's cold exchange (``backend_seconds``, informational).
 
-* **parallel** — serial chase vs :class:`ParallelExchange` at 2 and 4
-  workers, warm pool (the first exchange per worker count pays pool
-  startup and is excluded).  The executor is measured as shipped: with
-  ``min_parallel_facts`` on auto it serves sub-threshold sources
-  serially (each entry records whether it actually ``dispatched``), so
-  small sizes read ≈1.0× by construction — the executor's contract is
-  *parallelism never loses*.  Wall-clock is summarized as the **min**
-  over repeats: on shared/quota-throttled hosts the minimum is the
-  noise-robust estimate of the true cost (medians wobble 2-3× here).
-* **shipping** — bytes per shard on the worker pipe (flat column
-  buffers, shared-memory refs when available) vs the pickled
-  object-graph rows the pre-columnar executor shipped.
-* **cache** — cold exchange vs a fingerprint-keyed cache hit.  Hits are
-  measured on *fresh equal copies* of the source, so each timed hit pays
-  the full content-fingerprint cost a request stream would pay.
+The file keeps its name for continuity: it once also measured
+intra-request sharding, which was removed (docs/PERFORMANCE.md,
+"Intra-request sharding").
 
-``--backend sqlite`` additionally times the SQL-compiled backend next to
-the serial chase (``backend_seconds`` per entry) and extends
-``--check-equal`` to cross-check the backend's solution against the
-chase — the smoke that the columnar load/extract path and the SQL engine
-agree.  The parallel/shipping guards are unaffected: they compare the
-executor against its own serial path.
+Results go to ``BENCH_parallel.json``.  Check for CI:
 
-Results go to ``BENCH_parallel.json``.  Checks for CI:
-
-* ``--check-equal`` — parallel solution ``canonically_equal`` to serial
-  at the smallest size (exit 1 otherwise);
 * ``--check-cache MIN`` — cache hits must be nonzero and at least
-  ``MIN``× faster than the cold exchange;
-* ``--check-speedup MIN`` — optional wall-clock gate for multi-core
-  hosts: 4-worker speedup must reach ``MIN``× at the largest size;
-* ``--check-parallel-speedup MIN`` — the executor must not lose to the
-  serial chase: every benched size ≥ 10k source facts must reach
-  ``MIN``× (skipped with a note when ``cpu_count < 2``);
-* ``--check-ship-drop MIN`` — shipped bytes per shard must be at least
-  ``MIN``× smaller than the pickled object-graph baseline at ≥ 10k
-  source facts.
+  ``MIN``× faster than the cold exchange (exit 1 otherwise).
 
 Run::
 
     PYTHONPATH=src python benchmarks/bench_parallel_exchange.py
     PYTHONPATH=src python benchmarks/bench_parallel_exchange.py \
-        --sizes 400 2000 --repeat 3 --check-equal --check-cache 10
+        --sizes 1000 10000 --repeat 5 --backend sqlite --check-cache 1.5
 """
 
 from __future__ import annotations
@@ -55,17 +30,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import pickle
 import statistics as pystats
 import sys
 import time
 from pathlib import Path
 
-from repro.exec import ExchangeCache, ParallelExchange, partition_source
-from repro.exec.transport import ship
+from repro.exec import ExchangeCache, ParallelExchange
 from repro.mapping import SchemaMapping, universal_solution
 from repro.relational import instance, relation, schema
-from repro.relational.canonical import canonically_equal
 
 
 def build_setting(size: int, dept_ratio: int):
@@ -95,9 +67,8 @@ def build_setting(size: int, dept_ratio: int):
 def backend_for(mapping, name: str):
     """The ready SQL backend named *name*, or ``None`` for interpreted.
 
-    A mapping-shaped fallback (the backend compiled but declined) keeps
-    the bench running against the interpreted chase, with a note — the
-    parallel/shipping numbers are about the executor, not the backend.
+    A mapping the backend declines keeps the bench running without
+    ``backend_seconds``, with a note.
     """
     if name == "interpreted":
         return None
@@ -107,10 +78,7 @@ def backend_for(mapping, name: str):
     plan = plan_backend(mapping, ExchangeOptions(backend=name))
     if plan is None or not plan.ready:
         detail = plan.describe() if plan is not None else "nothing to plan"
-        print(
-            f"note: {name} backend not usable for this mapping ({detail}); "
-            "serial reference stays interpreted"
-        )
+        print(f"note: {name} backend not usable for this mapping ({detail})")
         return None
     return plan.backend
 
@@ -131,177 +99,21 @@ def main() -> int:
     )
     parser.add_argument("--dept-ratio", type=int, default=20)
     parser.add_argument("--repeat", type=int, default=3)
-    parser.add_argument("--workers", type=int, nargs="+", default=[2, 4])
     parser.add_argument("--out", default="BENCH_parallel.json")
     parser.add_argument(
         "--backend",
-        choices=("interpreted", "sqlite"),
+        choices=("interpreted", "sqlite", "duckdb"),
         default="interpreted",
-        help="serial reference engine: the interpreted chase (default) or "
-        "the SQL-compiled sqlite backend — cross-checked by --check-equal "
-        "and timed next to the serial leg (backend_seconds) for visibility",
-    )
-    parser.add_argument(
-        "--check-equal",
-        action="store_true",
-        help="assert parallel ≡ serial (canonically_equal) on a small "
-        "dedicated instance (core minimization is exponential-ish in "
-        "nulls, so the check stays tiny regardless of --sizes)",
+        help="also time this SQL backend's cold exchange (backend_seconds)",
     )
     parser.add_argument(
         "--check-cache",
         type=float,
         metavar="MIN",
-        help="exit 1 unless cache hits occur and are MIN× faster than cold",
-    )
-    parser.add_argument(
-        "--check-speedup",
-        type=float,
-        metavar="MIN",
-        help="exit 1 unless 4-worker wall-clock speedup reaches MIN× at the "
-        "largest size (meaningful on multi-core hosts only)",
-    )
-    parser.add_argument(
-        "--check-parallel-speedup",
-        type=float,
-        metavar="MIN",
-        help="exit 1 unless the executor reaches MIN× vs serial at every "
-        "benched size with ≥ 10k source facts (skipped on 1-core hosts)",
-    )
-    parser.add_argument(
-        "--check-ship-drop",
-        type=float,
-        metavar="MIN",
-        help="exit 1 unless shipped bytes per shard drop MIN× vs the pickled "
-        "object-graph baseline at ≥ 10k source facts",
+        help="require cache hits on every size, each at least MIN x faster "
+        "than the cold exchange",
     )
     args = parser.parse_args()
-
-    failures: list[str] = []
-    if args.check_equal:
-        mapping, fresh_source = build_setting(20, 4)
-        source = fresh_source()
-        serial_solution = universal_solution(mapping, source)
-        for workers in args.workers:
-            with ParallelExchange(mapping, workers=workers) as executor:
-                if not canonically_equal(executor.exchange(source), serial_solution):
-                    failures.append(
-                        f"check-equal: parallel differs from serial at "
-                        f"{workers} workers"
-                    )
-        check_backend = backend_for(mapping, args.backend)
-        if check_backend is not None and not canonically_equal(
-            check_backend.exchange(source), serial_solution
-        ):
-            failures.append(
-                f"check-equal: {args.backend} backend differs from the "
-                "interpreted chase"
-            )
-        if not failures:
-            suffix = (
-                f", {args.backend} backend ≡ chase"
-                if check_backend is not None
-                else ""
-            )
-            print(
-                f"check-equal ok: parallel ≡ serial (canonically_equal) at "
-                f"workers {args.workers}{suffix}"
-            )
-
-    parallel_results = []
-    shipping_results = []
-    for size in args.sizes:
-        mapping, fresh_source = build_setting(size, args.dept_ratio)
-        source = fresh_source()
-        partitioning = partition_source(mapping, source, max(args.workers))
-        serial = timed(lambda: universal_solution(mapping, source), args.repeat)
-        entry = {
-            "size": size,
-            "source_facts": source.size(),
-            "components": partitioning.components,
-            "largest_component": partitioning.largest_component,
-            # min over repeats: the noise-robust wall-clock estimate on
-            # shared hosts (see module docstring).
-            "serial_seconds": min(serial),
-            "workers": {},
-        }
-        backend = backend_for(mapping, args.backend)
-        if backend is not None:
-            entry["backend_seconds"] = min(
-                timed(lambda: backend.exchange(source), args.repeat)
-            )
-        for workers in args.workers:
-            with ParallelExchange(mapping, workers=workers) as executor:
-                executor.exchange(source)  # warm the pool (startup excluded)
-                samples = timed(lambda: executor.exchange(source), args.repeat)
-                dispatched = (
-                    executor.parallelizable
-                    and workers > 1
-                    and source.size() >= executor._min_parallel_facts
-                    and len(partitioning.shards) > 1
-                )
-            seconds = min(samples)
-            entry["workers"][str(workers)] = {
-                "seconds": seconds,
-                "speedup": entry["serial_seconds"] / seconds,
-                # False: the executor judged the source too small to
-                # amortize dispatch and served it serially (its
-                # never-lose contract), so the speedup is ≈1 by design.
-                "dispatched": dispatched,
-            }
-        parallel_results.append(entry)
-        rendered = "  ".join(
-            f"{w}w {v['seconds']:.4f}s ({v['speedup']:.2f}x"
-            f"{'' if v['dispatched'] else ', serial'})"
-            for w, v in entry["workers"].items()
-        )
-        backend_note = (
-            f"  [{args.backend} {entry['backend_seconds']:.4f}s]"
-            if "backend_seconds" in entry
-            else ""
-        )
-        print(
-            f"parallel size={size:>6}: serial "
-            f"{entry['serial_seconds']:.4f}s  {rendered}{backend_note}"
-        )
-
-        # Shipping cost: flat-buffer bytes per shard (and the bytes that
-        # actually cross the executor pipe — tiny shm refs when shared
-        # memory is available) vs the pickled object-graph rows the
-        # pre-columnar executor sent through the pool.
-        shards = partitioning.shards
-        buffers = []
-        for shard in shards:
-            store = shard.columnar_store
-            if store is None:
-                store = shard.columnar()
-            buffers.append(store.pack())
-        with ship(buffers) as shipment:
-            pipe_bytes = list(shipment.pipe_bytes_per_shard)
-            mode = shipment.mode
-        pickled = [
-            len(pickle.dumps(
-                {name: shard.rows(name) for name in shard.relation_names()},
-                protocol=pickle.HIGHEST_PROTOCOL,
-            ))
-            for shard in shards
-        ]
-        ship_entry = {
-            "size": size,
-            "shards": len(shards),
-            "transport": mode,
-            "buffer_bytes_per_shard": max(len(b) for b in buffers),
-            "pipe_bytes_per_shard": max(pipe_bytes),
-            "pickled_object_bytes_per_shard": max(pickled),
-            "ship_drop": max(pickled) / max(max(pipe_bytes), 1),
-        }
-        shipping_results.append(ship_entry)
-        print(
-            f"shipping size={size:>6}: pipe {ship_entry['pipe_bytes_per_shard']}B"
-            f"/shard ({mode}), buffer {ship_entry['buffer_bytes_per_shard']}B, "
-            f"object-graph {ship_entry['pickled_object_bytes_per_shard']}B "
-            f"({ship_entry['ship_drop']:.0f}x drop)"
-        )
 
     cache_results = []
     for size in args.sizes:
@@ -331,6 +143,12 @@ def main() -> int:
             "cache_hits": cache.hits,
             "cache_misses": cache.misses,
         }
+        backend = backend_for(mapping, args.backend)
+        if backend is not None:
+            copies = [fresh_source() for _ in range(args.repeat)]
+            entry["backend_seconds"] = pystats.median(
+                t for copy in copies for t in timed(lambda: backend.exchange(copy), 1)
+            )
         cache_results.append(entry)
         print(
             f"cache    size={size:>6}: cold {entry['cold_seconds']:.4f}s  "
@@ -340,20 +158,18 @@ def main() -> int:
 
     payload = {
         "benchmark": "parallel_exchange",
-        "description": "shard-parallel chase + fingerprint-keyed solution cache "
-        "vs serial chase",
+        "description": "fingerprint-keyed solution cache vs serial chase",
         "cpu_count": os.cpu_count(),
         "backend": args.backend,
         "dept_ratio": args.dept_ratio,
         "repeat": args.repeat,
-        "statistic": "min over repeats (noise-robust on shared hosts)",
-        "parallel": parallel_results,
-        "shipping": shipping_results,
+        "statistic": "median over repeats (fresh equal source copies)",
         "cache": cache_results,
     }
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out} (cpu_count={os.cpu_count()})")
 
+    failures = []
     if args.check_cache is not None:
         worst = min(cache_results, key=lambda r: r["hit_speedup"])
         if worst["cache_hits"] == 0:
@@ -365,62 +181,9 @@ def main() -> int:
             )
         else:
             print(
-                f"check-cache ok: ≥{worst['hit_speedup']:.0f}x hit speedup, "
+                f"check-cache ok: ≥{worst['hit_speedup']:.1f}x hit speedup, "
                 f"hits on every size"
             )
-    if args.check_speedup is not None:
-        largest = max(parallel_results, key=lambda r: r["size"])
-        best = max(v["speedup"] for v in largest["workers"].values())
-        if best < args.check_speedup:
-            failures.append(
-                f"check-speedup: {best:.2f}x < {args.check_speedup}x at "
-                f"size {largest['size']} (cpu_count={os.cpu_count()})"
-            )
-        else:
-            print(f"check-speedup ok: {best:.2f}x at size {largest['size']}")
-    if args.check_parallel_speedup is not None:
-        cpu = os.cpu_count() or 1
-        guarded = [r for r in parallel_results if r["source_facts"] >= 10_000]
-        if cpu < 2:
-            print(
-                "check-parallel-speedup skipped: single-core host "
-                f"(cpu_count={cpu})"
-            )
-        elif not guarded:
-            print("check-parallel-speedup skipped: no benched size ≥ 10k facts")
-        else:
-            for entry in guarded:
-                best = max(v["speedup"] for v in entry["workers"].values())
-                if best < args.check_parallel_speedup:
-                    failures.append(
-                        f"check-parallel-speedup: {best:.2f}x < "
-                        f"{args.check_parallel_speedup}x at size "
-                        f"{entry['size']} (cpu_count={cpu})"
-                    )
-            if not failures or not any(
-                f.startswith("check-parallel-speedup") for f in failures
-            ):
-                print(
-                    f"check-parallel-speedup ok: executor ≥ "
-                    f"{args.check_parallel_speedup}x serial at sizes "
-                    f"{[e['size'] for e in guarded]}"
-                )
-    if args.check_ship_drop is not None:
-        guarded = [s for s in shipping_results if s["size"] >= 10_000]
-        if not guarded:
-            print("check-ship-drop skipped: no benched size ≥ 10k facts")
-        for entry in guarded:
-            if entry["ship_drop"] < args.check_ship_drop:
-                failures.append(
-                    f"check-ship-drop: {entry['ship_drop']:.1f}x < "
-                    f"{args.check_ship_drop}x at size {entry['size']} "
-                    f"(transport {entry['transport']})"
-                )
-            else:
-                print(
-                    f"check-ship-drop ok: {entry['ship_drop']:.0f}x at "
-                    f"size {entry['size']} ({entry['transport']})"
-                )
 
     for failure in failures:
         print(f"FAILED: {failure}", file=sys.stderr)

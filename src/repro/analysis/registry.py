@@ -72,7 +72,6 @@ def _ensure_loaded() -> None:
         backend,
         composability,
         invertibility,
-        parallelism,
         safety,
         templates,
         termination,

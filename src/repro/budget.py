@@ -2,7 +2,7 @@
 
 A :class:`Budget` is the runtime half of
 :class:`~repro.options.ExchangeOptions`: one mutable object per request,
-checked cooperatively at chase-step and shard-merge boundaries.  Two
+checked cooperatively at chase-step and phase boundaries.  Two
 limits live here —
 
 * ``deadline`` — wall-clock seconds from the budget's creation;
@@ -66,7 +66,7 @@ class Budget:
     >>> budget.remaining_seconds()            # None when no deadline set
 
     Checks are cooperative: code holding a budget calls :meth:`check` at
-    natural boundaries (chase steps, shard merges).  A budget with
+    natural boundaries (chase steps, phase ends).  A budget with
     neither limit set is :attr:`unlimited` and every check is a no-op.
     """
 

@@ -5,7 +5,7 @@ Usage (also via ``python -m repro``)::
     repro plan      --schemas schemas.json --mapping mapping.tgd [--verbose]
     repro exchange  --schemas schemas.json --mapping mapping.tgd \
                     --data source.json [--out target.json] \
-                    [--workers N] [--cache N]
+                    [--cache N]
     repro chase     --schemas schemas.json --mapping mapping.tgd \
                     --data source.json            # reference engine
     repro put       --schemas schemas.json --mapping mapping.tgd \
@@ -14,7 +14,7 @@ Usage (also via ``python -m repro``)::
                     --data source.json            # completeness report
     repro questions --schemas schemas.json --mapping mapping.tgd
     repro profile   --schemas schemas.json --mapping mapping.tgd \
-                    --data source.json [--workers N]  # span tree + metrics
+                    --data source.json            # span tree + metrics
     repro lint      --schemas schemas.json --mapping mapping.tgd \
                     [--target-deps deps.tgd] [--json] \
                     [--select RA6] [--ignore RA102]     # static analysis
@@ -27,19 +27,21 @@ Usage (also via ``python -m repro``)::
                     [--limit N] [--json]          # why-trees per fact
     repro serve     --schemas schemas.json --mapping mapping.tgd \
                     [--port N] [--host H] [--max-in-flight N] \
-                    [--tenants tenants.json]      # asyncio HTTP service
+                    [--workers N] [--tenants tenants.json]  # asyncio HTTP service
     repro serve-bench --schemas schemas.json --mapping mapping.tgd \
-                    [--requests N] [--concurrency N] [--inject-pool-crashes N] \
-                    [--deadline S] [--max-facts N] [--json] \
-                    [--bench-out FILE] [--check-throughput RPS]  # service stress
+                    [--requests N] [--concurrency N [--workers N] \
+                    [--inject-pool-crashes N]] [--deadline S] [--max-facts N] \
+                    [--json] [--bench-out FILE] [--check-throughput RPS]
 
 ``lint`` exits 0 when the mapping is clean (or has only informational
 findings), 1 on warnings, 2 on errors — see docs/ANALYSIS.md.
 
 Every executing subcommand shares one options parent parser whose flag
 names match the :class:`~repro.options.ExchangeOptions` fields —
-``--workers``, ``--cache``, ``--max-steps``, ``--deadline``,
-``--max-facts`` — so limits are spelled the same everywhere.  With a
+``--cache``, ``--max-steps``, ``--deadline``, ``--max-facts`` — so
+limits are spelled the same everywhere.  ``--workers`` sizes the HTTP
+server's worker pool, so only ``serve`` and HTTP-mode ``serve-bench``
+take it.  With a
 budget flag set, ``exchange``/``chase`` degrade gracefully: a partial
 result is emitted with a warning on stderr and exit code 3 instead of a
 hang or crash (see docs/ROBUSTNESS.md).
@@ -204,7 +206,6 @@ def _options_from_args(args: argparse.Namespace) -> ExchangeOptions:
                 or getattr(args, "provenance_json", None)
             ),
             backend=getattr(args, "backend", None) or "interpreted",
-            min_parallel_facts=getattr(args, "min_parallel_facts", None),
         )
     except ValueError as exc:
         raise CliError(str(exc))
@@ -262,7 +263,7 @@ def _emit_partial(partial: PartialSolution, out: str | None) -> int:
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    engine, source_schema, _ = _build_engine(args)
+    engine, *_ = _build_engine(args)
     print(engine.explain(verbose=args.verbose))
     if args.verbose:
         from .backends.sql import mapping_compilability
@@ -272,12 +273,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
             print(f"backend: {engine.backend_plan.describe()}")
         else:
             print(f"backend: {mapping_compilability(engine.mapping).summary()}")
-    if args.verbose and getattr(args, "data", None):
-        from .exec import shard_preview
-
-        source = load_instance(args.data, source_schema, "source")
-        print()
-        print(shard_preview(engine.mapping, source))
     return 0
 
 
@@ -875,7 +870,9 @@ def _serve_bench_http(
     An in-process :class:`~repro.service.aserve.ExchangeServer` on an
     OS-assigned port, hammered by one asyncio client pool — the full
     wire path (JSON body in, chunked NDJSON out), so the latencies
-    include parsing, admission, pool dispatch and streaming.
+    include parsing, admission, pool dispatch and streaming.  The
+    fault-injection plan covers the server's pool seams, and the report
+    counts the retries and breaker openings they caused.
     """
     from .service.aserve import ExchangeClient, ExchangeClientError, ExchangeServer
 
@@ -939,10 +936,12 @@ def _serve_bench_http(
         await server.aclose()
         return elapsed
 
-    try:
-        elapsed = asyncio.run(run())
-    finally:
-        service.close()
+    with collecting() as registry, fault_injection(_bench_fault_plan(args)):
+        try:
+            elapsed = asyncio.run(run())
+        finally:
+            service.close()
+        counters = registry.snapshot()["counters"]
     latencies.sort()
     completed = len(latencies)
     report = {
@@ -953,6 +952,7 @@ def _serve_bench_http(
         "degraded": degraded,
         "rejected": rejected,
         "errors": len(errors),
+        **_pool_counters(counters),
         "streamed_chunks": streamed_chunks,
         "latency_p50_ms": round(_percentile(latencies, 0.50) * 1000, 3),
         "latency_p95_ms": round(_percentile(latencies, 0.95) * 1000, 3),
@@ -970,12 +970,29 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
     --data is given) through one ExchangeService under an optional
     fault-injection plan.  ``--concurrency N`` switches to HTTP mode:
     an in-process ``repro serve`` instance is hammered with N
-    simultaneous streamed requests over real sockets.  Both modes
+    simultaneous streamed requests over real sockets; only this mode
+    has a worker pool, so ``--workers`` and the pool fault flags need
+    it.  Both modes
     report completion/degradation counts, latency percentiles and
     throughput; ``--check-throughput RPS`` turns the report into a
     guard (exit 1 below the floor).  Exit 0 when every request got an
     answer (possibly degraded), 1 when any raised.
     """
+    if not args.concurrency:
+        pool_flags = [
+            flag
+            for flag, value in (
+                ("--workers", args.workers),
+                ("--inject-pool-crashes", args.inject_pool_crashes),
+                ("--inject-spawn-failures", args.inject_spawn_failures),
+            )
+            if value
+        ]
+        if pool_flags:
+            raise CliError(
+                f"{', '.join(pool_flags)} need --concurrency: only the HTTP "
+                "mode runs a worker pool"
+            )
     source_schema, target_schema = load_schemas(args.schemas)
     mapping = load_mapping(args.mapping, source_schema, target_schema)
     options = _options_from_args(args)
@@ -1033,9 +1050,7 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         "completed": completed,
         "degraded": degraded,
         "errors": len(errors),
-        "retries": int(counters.get("service.retries", 0)),
-        "pool_failures": int(counters.get("exchange.pool.failures", 0)),
-        "breaker_opens": int(counters.get("service.breaker_open", 0)),
+        **_pool_counters(counters),
         "rejections": int(counters.get("service.rejections", 0)),
         "latency_p50_ms": round(_percentile(latencies, 0.50) * 1000, 3),
         "latency_p95_ms": round(_percentile(latencies, 0.95) * 1000, 3),
@@ -1044,6 +1059,15 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         "clean_shutdown": clean_shutdown,
     }
     return _finish_serve_bench(args, report, errors)
+
+
+def _pool_counters(counters: dict) -> dict[str, int]:
+    """The worker-pool health figures of a serve-bench report."""
+    return {
+        "retries": int(counters.get("service.retries", 0)),
+        "pool_failures": int(counters.get("exchange.pool.failures", 0)),
+        "breaker_opens": int(counters.get("service.breaker_open", 0)),
+    }
 
 
 def _finish_serve_bench(
@@ -1110,24 +1134,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     options = argparse.ArgumentParser(add_help=False)
     options.add_argument(
-        "--workers",
-        type=int,
-        metavar="N",
-        help="shard the chase across N worker processes (repro.exec)",
-    )
-    options.add_argument(
         "--cache",
         type=int,
         metavar="N",
         help="cache up to N universal solutions keyed by content fingerprint",
-    )
-    options.add_argument(
-        "--min-parallel-facts",
-        type=int,
-        metavar="N",
-        help="smallest source (facts) dispatched to worker processes; "
-        "smaller sources chase serially (default: auto threshold, "
-        "0 forces dispatch)",
     )
     options.add_argument(
         "--max-steps",
@@ -1166,9 +1176,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the lineage log as JSON lines to FILE (implies --provenance)",
     )
 
-    # Shared by the service front ends (serve, serve-bench): admission
-    # capacity and per-tenant quota configuration.
+    # Shared by the service front ends (serve, serve-bench): the server's
+    # worker pool, admission capacity and per-tenant quota configuration.
     service_opts = argparse.ArgumentParser(add_help=False)
+    service_opts.add_argument(
+        "--workers",
+        type=int,
+        metavar="N",
+        help="size of the server's worker pool: N requests chase at once "
+        "(default 2)",
+    )
     service_opts.add_argument(
         "--max-in-flight",
         type=int,
@@ -1427,14 +1444,15 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=0,
         metavar="N",
-        help="crash the first N pool dispatches (BrokenProcessPool)",
+        help="crash the first N pool dispatches (BrokenProcessPool); "
+        "needs --concurrency",
     )
     p.add_argument(
         "--inject-spawn-failures",
         type=int,
         default=0,
         metavar="N",
-        help="fail the first N pool creations (OSError)",
+        help="fail the first N pool creations (OSError); needs --concurrency",
     )
     p.add_argument(
         "--inject-slow-chase",
@@ -1449,8 +1467,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=0,
         metavar="N",
         help="HTTP mode: drive N simultaneous streamed requests through an "
-        "in-process `repro serve` over real sockets (default 0 = in-proc "
-        "fault-injection mode)",
+        "in-process `repro serve` over real sockets (default 0 = "
+        "in-process mode, no worker pool)",
     )
     p.add_argument(
         "--check-throughput",

@@ -223,8 +223,8 @@ class ExchangeEngine:
 
         *options* (an :class:`~repro.options.ExchangeOptions`) is the one
         place every limit and executor knob lives: ``workers``/``cache``
-        opt into the :mod:`repro.exec` executor (sharded chase, solution
-        cache), ``max_steps`` bounds target-dependency chases, and
+        opt into the :mod:`repro.exec` executor (solution cache, the
+        server's worker pool), ``max_steps`` bounds target-dependency chases, and
         ``deadline``/``max_facts`` build per-request budgets.  All
         default to off, and the backward direction (:meth:`put_back`) is
         unaffected.  The pre-ExchangeOptions ``workers=``/``cache=``
@@ -268,8 +268,9 @@ class ExchangeEngine:
         the embedded engine (:mod:`repro.backends`) — the core universal
         solution for laconic mappings, a homomorphically equivalent one
         otherwise; provenance requests and non-compilable mappings fall
-        back to the interpreted paths below.  With an executor configured (``options.workers``/``options.cache``)
-        this runs the shard-parallel cached chase, whose solution is the
+        back to the interpreted paths below.  With an executor configured
+        (``options.workers``/``options.cache``) this runs the cached
+        in-process chase, whose solution is the
         chase's (labelled nulls) rather than the lens view's (Skolem
         values) — the two agree up to homomorphic equivalence.  Without
         one, it is exactly ``lens.get``.  *budget* (or the options'

@@ -1,52 +1,27 @@
-"""Shard-parallel exchange execution and solution caching.
+"""Exchange execution: the solution cache and the service's worker pool.
 
-The :mod:`repro.exec` subsystem treats forward exchange as a service:
-
-* :mod:`repro.exec.partition` — cut a source instance into shards along
-  the connected components of the mapping's premise co-occurrence graph,
-  so no premise binding ever spans two shards.
-* :mod:`repro.exec.parallel` — :class:`ParallelExchange` chases shards
-  in a process pool and merges the shard solutions under disjoint
-  labelled-null namespaces (falling back to the serial chase whenever
-  sharding would be unsound or unhelpful).
+* :mod:`repro.exec.parallel` — :class:`ParallelExchange`, the executor
+  behind ``ExchangeOptions(workers=, cache=)``: cached in-process
+  exchange, plus the worker pool the HTTP server dispatches requests to;
 * :mod:`repro.exec.cache` — :class:`ExchangeCache`, a bounded LRU of
   universal solutions keyed by content fingerprints of the mapping and
-  the source.
+  the source;
+* :mod:`repro.exec.retry` — :class:`CircuitBreaker`, which stops pool
+  retries after repeated failures.
 
-Entry points elsewhere: ``ExchangeEngine.compile(..., workers=, cache=)``
-wires an executor into the compiled lens, ``repro exchange --workers``
-and ``repro profile --workers`` expose it on the CLI, and the
-``parallelism`` analysis pass (RA501/RA502) reports shardability in
-``repro lint``.
+Entry points elsewhere: ``ExchangeEngine.compile(..., options=)`` wires
+an executor into the compiled lens, ``repro exchange --cache`` exposes
+the cache on the CLI, and ``repro serve --workers`` sizes the pool.
 """
 
 from .cache import ExchangeCache, mapping_fingerprint
-from .parallel import ParallelExchange
+from .parallel import ParallelExchange, exchange_in_process
 from .retry import CircuitBreaker
-from .partition import (
-    Blocker,
-    ParallelizabilityReport,
-    Partitioning,
-    PremiseJoinStructure,
-    co_occurrence_components,
-    parallelizability,
-    partition_source,
-    premise_join_structure,
-    shard_preview,
-)
 
 __all__ = [
-    "Blocker",
     "CircuitBreaker",
     "ExchangeCache",
     "ParallelExchange",
-    "ParallelizabilityReport",
-    "Partitioning",
-    "PremiseJoinStructure",
-    "co_occurrence_components",
+    "exchange_in_process",
     "mapping_fingerprint",
-    "parallelizability",
-    "partition_source",
-    "premise_join_structure",
-    "shard_preview",
 ]

@@ -1,252 +1,90 @@
-"""Shard-parallel forward exchange over a process pool.
+"""The exchange executor: solution cache, in-process chase, worker pool.
 
-:class:`ParallelExchange` scales the chase *across* premise-independent
-parts of the source: the partitioner (:mod:`repro.exec.partition`) cuts
-the source into shards no premise binding can span, a
-``ProcessPoolExecutor`` chases the shards concurrently, and the shard
-solutions are merged under disjoint labelled-null namespaces.  The
-merged instance is the serial canonical universal solution up to null
-renaming (``canonically_equal`` — the test suite cross-checks this).
+:class:`ParallelExchange` answers forward exchanges for one mapping.  A
+cache miss chases in process through :func:`exchange_in_process`, which
+builds the source's column store first whenever the id-space fast path
+will take the request (:func:`~repro.mapping.chase.id_path_applies`), so
+premises join over integer ids.  An optional fingerprint-keyed
+:class:`~repro.exec.cache.ExchangeCache` serves repeated sources, and
+:meth:`~ParallelExchange.exchange_many` amortizes compilation over a
+request stream.
 
-Shards travel as flat column buffers (:mod:`repro.relational.columnar`),
-not pickled or JSON object graphs: the partitioner's column-store slices
-pack into compact byte strings, :mod:`repro.exec.transport` stages them
-in one shared-memory segment when the host supports it (each worker then
-receives a ~100-byte reference instead of the shard itself), and workers
-unpack straight into store-backed instances that chase premises over
-integer ids.  Shard solutions return as packed buffers too, and the
-merge relabels invented nulls *during* unpack — at the value-table
-level, once per distinct null — rather than rewriting every merged fact.
-
-Mappings with target dependencies fall back to the serial chase: egds
-merge values across the whole target, so shard chases cannot be merged
-soundly.  The executor also carries an optional fingerprint-keyed
-:class:`~repro.exec.cache.ExchangeCache`, and :meth:`exchange_many`
-amortizes mapping compilation and pool startup over a request stream.
-
-Pool failures (startup or worker crashes) are retried with exponential
-backoff + jitter under the configured
-:class:`~repro.options.RetryPolicy`; repeated failures open a
-:class:`~repro.exec.retry.CircuitBreaker` that pins the executor to the
-serial chase until the breaker half-opens.  Both seams carry
-:func:`~repro.faults.fault_point` hooks (``"pool.spawn"``,
-``"pool.map"``) so the fault-injection harness can exercise every
-degradation path deterministically.
+The executor also owns the worker pool (``workers`` processes) that the
+HTTP server (:mod:`repro.service.aserve`) dispatches whole requests to,
+so one service owns one set of worker processes.  Retry with backoff and
+the circuit breaker guard that dispatch, in the server.  Requests are
+not split across processes: intra-request sharding was measured and
+removed (docs/PERFORMANCE.md, "Intra-request sharding").
 """
 
 from __future__ import annotations
 
-import hashlib
+import signal
 import time
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from ..budget import Budget, BudgetExceeded
+from ..budget import Budget
 from ..faults import fault_point
-from ..logic.terms import Var
-from ..mapping.chase import chase
+from ..mapping.chase import ChaseVariant, chase, id_path_applies
 from ..mapping.sttgd import SchemaMapping
-from ..obs import (
-    Tracer,
-    get_registry,
-    get_tracer,
-    set_tracer,
-    span_records,
-    spans_from_records,
-)
-from ..options import DEFAULT_MAX_STEPS, ExchangeOptions, RetryPolicy
+from ..obs import get_registry, get_tracer
+from ..options import DEFAULT_MAX_STEPS, ExchangeOptions
 from ..provenance.store import NOOP, ProvenanceLog, ProvenanceStore
-from ..relational.columnar import (
-    merge_result_buffers,
-    pack_instance,
-    pack_rows,
-    unpack_instance_lazy,
-    unpack_rows,
-)
-from ..relational.instance import Instance, Row
-from ..relational.serialization import dumps_schema, loads_schema
-from ..relational.values import LabeledNull, NullFactory, max_null_label
+from ..relational.instance import Instance
 from .cache import ExchangeCache, mapping_fingerprint
-from .partition import ParallelizabilityReport, parallelizability, partition_source
-from .retry import CircuitBreaker
-from .transport import ShardRef, fetch, ship
 
-def _needs_merge_dedupe(mapping: SchemaMapping) -> bool:
-    """Whether shard solutions can overlap, forcing a dedupe at merge.
 
-    If every conclusion atom of every tgd carries at least one *plain*
-    existential variable, each firing mints a fresh labelled null for
-    it, so no target fact can be produced by two different shards and
-    concatenating shard rows is already a set.  Function terms do not
-    count — ``f(d)`` repeats whenever ``d`` does, across shards too —
-    and a 0-ary atom has no terms, so either forces the dedupe pass.
+def exchange_in_process(
+    mapping: SchemaMapping,
+    source: Instance,
+    max_steps: int = DEFAULT_MAX_STEPS,
+    budget: Budget | None = None,
+    provenance: ProvenanceStore = NOOP,
+) -> Instance:
+    """The canonical universal solution for *source*, chased in this process.
+
+    When the id-space fast path will take the request, the source's
+    canonical column store is built (and memoized on *source*) before
+    the chase, so the st-tgd phase runs over integer ids.  Budgeted and
+    provenance-recording requests, and mappings with target
+    dependencies, chase in value space and build no store.
     """
-    for tgd in mapping.tgds:
-        existentials = set(tgd.existential_variables)
-        for atom in tgd.conclusion.atoms():
-            if not any(
-                isinstance(term, Var) and term in existentials
-                for term in atom.terms
-            ):
-                return True
-    return False
+    if id_path_applies(mapping, ChaseVariant.NAIVE, budget, provenance):
+        source.columnar()
+    return chase(
+        mapping,
+        source,
+        options=ExchangeOptions(max_steps=max_steps),
+        budget=budget,
+        provenance=provenance,
+    ).solution
 
 
-# Per-worker-process cache of parsed mappings, keyed by the payload
-# text, so a request stream compiles each mapping once per worker
-# instead of once per shard task.
-_WORKER_MAPPINGS: dict[tuple[str, str, str], SchemaMapping] = {}
+def _reset_inherited_signals() -> None:
+    """Pool-worker initializer: drop the signal wiring forked from the parent.
 
-# Per-worker-process cache of decoded shards, keyed by buffer digest.
-# Stores are immutable, so a shard that arrives twice (a request stream
-# re-exchanging the same source, bench repeat loops, cache misses on an
-# unchanged instance) reuses the decoded store *and* the join indexes
-# memoized on it — at bench sizes the index build is the biggest share
-# of a warm worker's chase.  Small and LRU-bounded: entries can hold
-# multi-megabyte column arrays.
-_WORKER_SHARDS: "OrderedDict[bytes, Instance]" = OrderedDict()
-_WORKER_SHARD_CACHE_CAP = 4
-
-
-def _decode_shard(buffer: bytes) -> Instance:
-    """Decode a shard buffer, reusing this worker's cached decode if any."""
-    key = hashlib.blake2b(buffer, digest_size=16).digest()
-    shard = _WORKER_SHARDS.get(key)
-    if shard is None:
-        shard = unpack_instance_lazy(buffer)
-        _WORKER_SHARDS[key] = shard
-        if len(_WORKER_SHARDS) > _WORKER_SHARD_CACHE_CAP:
-            _WORKER_SHARDS.popitem(last=False)
-    else:
-        _WORKER_SHARDS.move_to_end(key)
-    return shard
-
-
-def _chase_shard(
-    payload: tuple[str, str, str, int, ShardRef, bool, bool],
-) -> dict[str, object]:
-    """Pool worker: chase one shard shipped as a flat column buffer.
-
-    Returns a dict with the solution packed as a flat buffer and the
-    wall seconds, plus — when the payload asks for them — the shard's
-    provenance log (JSON text) and its span records (the parent rebuilds
-    and stitches them under the dispatching request so ``--trace-json``
-    shows worker-side chases).  Module-level so the pool can pickle it.
-    The shard ref resolves through :func:`repro.exec.transport.fetch`
-    (shared-memory segment or raw bytes); unpacking attaches a column
-    store, so premise evaluation inside the chase runs in id space.  The
-    invented labelled nulls carry whatever labels the worker's factory
-    produced; the parent relabels them into disjoint namespaces while
-    unpacking the result.  The step cap travels in the payload so shard
-    chases honour the request's ``max_steps``; wall-clock budgets stay
-    parent-side (the parent checks its deadline at dispatch and merge
-    boundaries).
+    ``repro serve`` routes SIGTERM/SIGINT into its event loop through a
+    wakeup fd.  A forked worker inherits that fd and the no-op Python
+    handlers, so a SIGTERM the pool sends a worker (as it reaps a
+    broken pool) would be ignored by the worker and would stop the
+    parent server instead.
     """
-    (
-        source_schema_json,
-        target_schema_json,
-        mapping_text,
-        max_steps,
-        shard_ref,
-        want_provenance,
-        want_trace,
-    ) = payload
-    started = time.perf_counter()
-    mapping_key = (source_schema_json, target_schema_json, mapping_text)
-    mapping = _WORKER_MAPPINGS.get(mapping_key)
-    if mapping is None:
-        mapping = SchemaMapping.parse(
-            loads_schema(source_schema_json),
-            loads_schema(target_schema_json),
-            mapping_text,
-        )
-        _WORKER_MAPPINGS[mapping_key] = mapping
-    # Lazy decode (cached per worker): the chase fast path joins over
-    # the id columns and never reads value tuples, so the worker skips
-    # rebuilding the value table and row frozensets — at bench sizes
-    # that eager decode cost as much as the chase itself.
-    shard = _decode_shard(fetch(shard_ref))
-    provenance = ProvenanceLog() if want_provenance else None
-    if want_trace:
-        previous = get_tracer()
-        tracer = Tracer()
-        set_tracer(tracer)
-        try:
-            result = chase(
-                mapping,
-                shard,
-                options=ExchangeOptions(max_steps=max_steps),
-                provenance=provenance,
-            )
-            spans = list(span_records(tracer))
-        finally:
-            set_tracer(previous)
-    else:
-        result = chase(
-            mapping,
-            shard,
-            options=ExchangeOptions(max_steps=max_steps),
-            provenance=provenance,
-        )
-        spans = None
-    solution = result.solution
-    return {
-        "solution": _pack_solution(solution),
-        "seconds": time.perf_counter() - started,
-        "provenance": provenance.to_json_text() if provenance is not None else None,
-        "spans": spans,
-    }
-
-
-def _pack_solution(solution: Instance) -> bytes:
-    """Pack a shard solution for the result pipe, cheapest route available.
-
-    Id-space chase solutions arrive with a deferred column store whose
-    raw parts pack directly — no value object or row tuple ever
-    materializes worker-side.  Value-space solutions go through
-    :func:`pack_rows`, which skips the canonical store build (no global
-    value sort, no row sort) — the parent only unions the rows, and the
-    merge relabeling needs nothing beyond label-sorted nulls, which both
-    routes guarantee (the chase mints fresh labels in ascending order
-    past the shard's own maximum).
-    """
-    store = solution.columnar_store
-    if store is not None:
-        return store.pack()
-    return pack_rows(
-        solution.schema,
-        {name: solution.rows(name) for name in solution.relation_names()},
-    )
-
-
-# Sources below this many facts take the serial path when
-# ``min_parallel_facts`` is left on auto.  With the columnar chase a
-# 10k-fact exchange finishes in tens of milliseconds — less than the
-# pool dispatch + shard decode + merge it would buy — and on
-# quota-throttled cloud hosts two busy processes rarely get 2× the
-# cycles of one (see docs/PERFORMANCE.md).  Callers who know their
-# host can pin ``min_parallel_facts=0`` to force dispatch.
-_AUTO_MIN_PARALLEL_FACTS = 50_000
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
 
 
 class ParallelExchange:
-    """A forward-exchange executor: sharded chase + solution cache.
+    """A forward-exchange executor: solution cache + the service's worker pool.
 
     >>> executor = ParallelExchange(mapping, workers=4, cache=128)
     >>> solution = executor.exchange(source)          # one request
     >>> solutions = executor.exchange_many(stream)    # a batch
     >>> executor.close()                              # or use as a context manager
 
-    ``workers <= 1``, non-parallelizable mappings (target dependencies),
-    sources below ``min_parallel_facts`` and single-component partitions
-    all take the serial chase path — the executor is always correct,
-    parallelism is purely an optimization.  ``min_parallel_facts`` left
-    unset means *auto*: sources smaller than a built-in threshold
-    (currently 50k facts) are served serially, so small requests never
-    pay dispatch overhead that exceeds their chase; pass ``0`` to
-    dispatch every parallelizable request regardless of size.
+    :meth:`exchange` always chases in process; ``workers`` only sizes
+    the pool :meth:`ensure_pool` hands to the HTTP server.
     """
 
     def __init__(
@@ -254,45 +92,22 @@ class ParallelExchange:
         mapping: SchemaMapping,
         workers: int | None = None,
         cache: ExchangeCache | int | None = None,
-        min_parallel_facts: int | None = None,
-        retry: RetryPolicy | None = None,
-        breaker: CircuitBreaker | None = None,
         options: ExchangeOptions | None = None,
     ) -> None:
         if options is not None:
             workers = workers if workers is not None else options.workers
             cache = cache if cache is not None else options.cache
-            retry = retry if retry is not None else options.retry
-            if min_parallel_facts is None:
-                min_parallel_facts = options.min_parallel_facts
             max_steps = options.max_steps
         else:
             max_steps = DEFAULT_MAX_STEPS
-        if min_parallel_facts is None:
-            min_parallel_facts = _AUTO_MIN_PARALLEL_FACTS
         self._mapping = mapping
         self._workers = workers if workers is not None else 1
         if isinstance(cache, int):
             cache = ExchangeCache(capacity=cache)
         self._cache = cache
-        self._min_parallel_facts = min_parallel_facts
-        self._retry = retry if retry is not None else RetryPolicy()
-        self._breaker = breaker if breaker is not None else CircuitBreaker()
         self._max_steps = max_steps
-        self._rng = self._retry.rng()
-        self._report = parallelizability(mapping)
         self._mapping_key = mapping_fingerprint(mapping)
         self._pool: ProcessPoolExecutor | None = None
-        if self._report.parallelizable:
-            self._payload_prefix = (
-                dumps_schema(mapping.source, indent=None),
-                dumps_schema(mapping.target, indent=None),
-                mapping.to_text(),
-            )
-            self._merge_dedupe = _needs_merge_dedupe(mapping)
-        else:
-            self._payload_prefix = None
-            self._merge_dedupe = True
 
     # -- introspection -----------------------------------------------------
 
@@ -307,24 +122,6 @@ class ParallelExchange:
     @property
     def cache(self) -> ExchangeCache | None:
         return self._cache
-
-    @property
-    def report(self) -> ParallelizabilityReport:
-        """Why (or why not) this mapping shards — see ``repro lint`` RA501/RA502."""
-        return self._report
-
-    @property
-    def parallelizable(self) -> bool:
-        return self._report.parallelizable
-
-    @property
-    def retry(self) -> RetryPolicy:
-        return self._retry
-
-    @property
-    def breaker(self) -> CircuitBreaker:
-        """The pool circuit breaker (shared with the owning service)."""
-        return self._breaker
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -343,25 +140,32 @@ class ParallelExchange:
     def ensure_pool(self) -> ProcessPoolExecutor:
         """The worker pool, spawning it on first use.
 
-        Public: the streaming service (:mod:`repro.service.streaming`,
-        :mod:`repro.service.aserve`) dispatches its per-shard payloads
-        on the same pool the executor chases with, so one service owns
-        one set of worker processes.
+        The HTTP server dispatches request payloads here, so one service
+        owns one set of worker processes.  ``"pool.spawn"`` is the fault
+        seam for spawn failures.
         """
         if self._pool is None:
             fault_point("pool.spawn")
             started = time.perf_counter()
-            self._pool = ProcessPoolExecutor(max_workers=self._workers)
+            self._pool = ProcessPoolExecutor(
+                max_workers=self._workers, initializer=_reset_inherited_signals
+            )
             get_registry().observe(
                 "exchange.pool.startup_seconds", time.perf_counter() - started
             )
         return self._pool
 
-    def _discard_pool(self) -> None:
-        """Close the (possibly dead) executor so its workers are reaped."""
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+    def discard_pool(self, pool: ProcessPoolExecutor) -> bool:
+        """Reap *pool* after a failure; ``False`` if it was already replaced.
+
+        Waits for the pool's management thread, so a respawn never forks
+        while it still runs; the next :meth:`ensure_pool` starts over.
+        """
+        if self._pool is not pool:
+            return False
+        self._pool = None
+        pool.shutdown(wait=True, cancel_futures=True)
+        return True
 
     # -- exchange ----------------------------------------------------------
 
@@ -371,22 +175,19 @@ class ParallelExchange:
         budget: Budget | None = None,
         provenance: ProvenanceStore | None = None,
     ) -> Instance:
-        """The canonical universal solution for *source* (cached, sharded).
+        """The canonical universal solution for *source* (cached).
 
-        *budget* is a request-scoped :class:`~repro.budget.Budget`; the
-        executor checks it at dispatch and shard-merge boundaries and the
-        serial fallback threads it into every chase step.  A cache hit
-        never consults the budget (it is effectively free).
+        *budget* is a request-scoped :class:`~repro.budget.Budget`
+        threaded into every chase step.  A cache hit never consults the
+        budget (it is effectively free).
 
-        With an enabled *provenance* store, lineage survives both
-        executor seams: shard logs are relabeled through the merge's
-        null renaming and absorbed into the store, and cached solutions
-        come back with their stored log (an entry cached without
-        provenance counts as a miss and is upgraded in place).
+        With an enabled *provenance* store, cached solutions come back
+        with their stored log (an entry cached without provenance counts
+        as a miss and is upgraded in place).
         """
         store = provenance if provenance is not None else NOOP
         if self._cache is None:
-            return self._exchange_uncached(source, budget, store)
+            return self._chase(source, budget, store)
         if store.enabled:
             entry = self._cache.lookup_entry(
                 self._mapping_key, source.fingerprint(), require_provenance=True
@@ -396,7 +197,7 @@ class ParallelExchange:
                 store.absorb(log)
                 return solution
             run_log = ProvenanceLog()
-            solution = self._exchange_uncached(source, budget, run_log)
+            solution = self._chase(source, budget, run_log)
             self._cache.store(
                 self._mapping_key, source.fingerprint(), solution, run_log.copy()
             )
@@ -405,16 +206,16 @@ class ParallelExchange:
         cached = self._cache.lookup(self._mapping_key, source.fingerprint())
         if cached is not None:
             return cached
-        solution = self._exchange_uncached(source, budget, store)
+        solution = self._chase(source, budget, store)
         self._cache.store(self._mapping_key, source.fingerprint(), solution)
         return solution
 
     def exchange_many(self, sources: Iterable[Instance]) -> list[Instance]:
-        """Exchange a request stream, amortizing pool startup and compilation.
+        """Exchange a request stream, amortizing compilation over it.
 
         Semantically ``[self.exchange(s) for s in sources]``; the batch
-        span and the shared pool/cache make the amortization visible to
-        the observability layer.  (Budgeted, admission-controlled batches
+        span and the shared cache make the amortization visible to the
+        observability layer.  (Budgeted, admission-controlled batches
         live one layer up in :class:`repro.service.ExchangeService`.)
         """
         batch = list(sources)
@@ -424,280 +225,9 @@ class ParallelExchange:
                 span.set(cache_hits=self._cache.hits, cache_misses=self._cache.misses)
         return out
 
-    def _exchange_uncached(
-        self,
-        source: Instance,
-        budget: Budget | None = None,
-        provenance: ProvenanceStore = NOOP,
+    def _chase(
+        self, source: Instance, budget: Budget | None, provenance: ProvenanceStore
     ) -> Instance:
-        if not self._report.parallelizable or self._workers <= 1:
-            return self._serial(source, budget, provenance)
-        if source.size() < self._min_parallel_facts:
-            # Too small to amortize dispatch: the serial chase at this
-            # size costs less than shipping + merging would.
-            get_registry().increment("exchange.small_source_fallbacks")
-            return self._serial(source, budget, provenance)
-        tracer = get_tracer()
-        registry = get_registry()
-        with tracer.span(
-            "exchange.parallel", workers=self._workers, source_facts=source.size()
-        ) as span:
-            with tracer.span("exchange.partition"):
-                partitioning = partition_source(
-                    self._mapping,
-                    source,
-                    self._workers,
-                    memo_key=self._mapping_key,
-                )
-            shards = partitioning.shards
-            span.set(shards=len(shards), components=partitioning.components)
-            registry.histogram("exchange.shards").observe(len(shards))
-            for size in partitioning.shard_sizes:
-                registry.histogram("exchange.shard_facts").observe(size)
-            if len(shards) <= 1:
-                registry.increment("exchange.single_shard_fallbacks")
-                return self._serial(source, budget, provenance)
-            if self._breaker.is_open:
-                # Repeated pool failures: stay serial, don't even try.
-                registry.increment("exchange.breaker.short_circuits")
-                span.set(breaker="open")
-                return self._serial(source, budget, provenance)
-            attempts = 0
-            while True:
-                try:
-                    solution = self._chase_shards(
-                        source, shards, span, budget, provenance
-                    )
-                except (BrokenProcessPool, OSError) as exc:
-                    self._record_pool_failure(exc, span)
-                    if self._breaker.record_failure():
-                        registry.increment("service.breaker_open")
-                        span.set(breaker="open")
-                    attempts += 1
-                    if attempts > self._retry.max_retries or self._breaker.is_open:
-                        # Out of retries (or pinned serial): never fail
-                        # the exchange over an optimization.
-                        return self._serial(source, budget, provenance)
-                    registry.increment("service.retries")
-                    self._backoff(attempts, budget)
-                else:
-                    self._breaker.record_success()
-                    registry.increment("exchange.parallel.runs")
-                    span.set(pool_attempts=attempts + 1)
-                    return solution
-
-    def _record_pool_failure(self, exc: BaseException, span) -> None:
-        """Count the failure *with its cause* and reap the dead executor."""
-        registry = get_registry()
-        registry.increment("exchange.pool.failures")
-        registry.increment(f"exchange.pool.failures.{type(exc).__name__}")
-        span.set(pool_failure=repr(exc))
-        self._discard_pool()
-
-    def _backoff(self, attempt: int, budget: Budget | None) -> None:
-        """Sleep the policy's jittered delay, capped by the budget's deadline."""
-        delay = self._retry.delay(attempt, self._rng)
-        if budget is not None:
-            remaining = budget.remaining_seconds()
-            if remaining is not None:
-                delay = max(0.0, min(delay, remaining))
-        get_registry().observe("exchange.pool.retry_backoff_seconds", delay)
-        if delay > 0:
-            time.sleep(delay)
-
-    def _chase_shards(
-        self,
-        source: Instance,
-        shards: Sequence[Instance],
-        span,
-        budget: Budget | None = None,
-        provenance: ProvenanceStore = NOOP,
-    ) -> Instance:
-        assert self._payload_prefix is not None
-        pool = self.ensure_pool()
-        tracer = get_tracer()
-        registry = get_registry()
-        want_provenance = provenance.enabled
-        want_trace = tracer.enabled
-        # Parent-as-zeroth-worker: the parent process idles during
-        # pool.map, and on memory-bandwidth-bound hosts a fully-idle
-        # core is the difference between winning and losing to the
-        # serial chase.  When no budget checkpoints, provenance staging
-        # or span stitching are in play, the parent chases shard 0
-        # itself (no ship, no unpack, no result pipe for that shard)
-        # concurrently with the pool chasing the rest.
-        local_shard: Instance | None = None
-        remote_shards = list(shards)
-        if budget is None and not want_provenance and not want_trace:
-            local_shard = remote_shards.pop(0)
-        wall_started = time.perf_counter()
-        with tracer.span("exchange.ship", shards=len(remote_shards)) as ship_span:
-            shard_maxima = []
-            buffers = []
-            for shard in shards:
-                store = shard.columnar_store
-                if store is not None:
-                    shard_maxima.append(store.max_labeled_null())
-                else:  # hand-built shards (tests): pack from scratch
-                    shard_maxima.append(max_null_label(shard.values()))
-            for shard in remote_shards:
-                store = shard.columnar_store
-                buffers.append(
-                    store.pack() if store is not None else pack_instance(shard)
-                )
-            shipment = ship(buffers)
-            for buffer, pipe_bytes in zip(buffers, shipment.pipe_bytes_per_shard):
-                registry.histogram("exchange.ship.buffer_bytes").observe(len(buffer))
-                registry.histogram("exchange.ship.pipe_bytes").observe(pipe_bytes)
-            ship_span.set(
-                mode=shipment.mode,
-                buffer_bytes=sum(len(b) for b in buffers),
-                pipe_bytes=sum(shipment.pipe_bytes_per_shard),
-            )
-            payloads = [
-                self._payload_prefix
-                + (self._max_steps, ref, want_provenance, want_trace)
-                for ref in shipment.refs
-            ]
-        try:
-            if budget is not None:
-                budget.check(phase="dispatch")
-            fault_point("pool.map")
-            # Executor.map schedules every payload immediately; the
-            # parent chases its own shard while the pool works, then
-            # blocks on collection.
-            remote_iter = pool.map(_chase_shard, payloads)
-            results = []
-            if local_shard is not None:
-                local_started = time.perf_counter()
-                local_solution = chase(
-                    self._mapping,
-                    local_shard,
-                    options=ExchangeOptions(max_steps=self._max_steps),
-                ).solution
-                results.append(
-                    {
-                        "solution": _pack_solution(local_solution),
-                        "seconds": time.perf_counter() - local_started,
-                        "provenance": None,
-                        "spans": None,
-                    }
-                )
-            results.extend(remote_iter)
-        finally:
-            # The shared segment (if any) must outlive the dispatch and
-            # die with it — workers attached and copied, nothing holds
-            # the segment past this point, success or not.
-            shipment.close()
-        wall = time.perf_counter() - wall_started
-        worker_seconds = [result["seconds"] for result in results]
-        overhead = wall - max(worker_seconds, default=0.0)
-        registry.observe("exchange.pool.overhead_seconds", max(overhead, 0.0))
-        span.set(wall_seconds=round(wall, 6), pool_overhead_seconds=round(overhead, 6))
-        if want_trace:
-            # Stitch worker-side spans under this request: rebuild each
-            # shard's recorded forest and graft it below a per-shard
-            # anchor, so --trace-json shows the shard chases with
-            # id/parent links into the dispatching request.
-            with tracer.span("exchange.workers", shards=len(shards)):
-                for index, result in enumerate(results):
-                    for root in spans_from_records(result["spans"] or ()):
-                        root.set(shard=index)
-                        tracer.attach(root)
-
-        # Merge under disjoint null namespaces: each shard's *invented*
-        # nulls (labels above the shard's own maximum — the chase seeds
-        # its factory past them) are relabeled from one global factory
-        # reserved past every source null, so shards can never collide
-        # with each other or with pre-existing source nulls.  The
-        # relabeling happens *inside* unpack, at the value-table level:
-        # each invented null rewrites once (buffers keep their table
-        # label-sorted, so fresh labels are assigned in the same
-        # ascending order the old sort-and-map_values merge produced)
-        # instead of once per fact occurrence.  Shard provenance goes
-        # through the *same* relabeling (then a staging log, absorbed
-        # only on full success, so a later budget trip or retry never
-        # leaves half a merge in the caller's store).
-        src_store = source.columnar_store
-        if src_store is not None and src_store.canonical:
-            max_source_label = src_store.max_labeled_null()
-        else:
-            max_source_label = max_null_label(source.values())
-        if budget is None and not want_provenance:
-            # Id-space fast merge: no per-shard budget checkpoints and no
-            # provenance relabeling to stage, so the shard buffers union
-            # directly into one deferred column store — fresh labels are
-            # assigned per distinct invented null while translating id
-            # columns, and no value object or row tuple is built unless
-            # the caller later reads the solution's tuple view.
-            with tracer.span("exchange.merge", shards=len(shards), fast=True):
-                merged_store = merge_result_buffers(
-                    self._mapping.target,
-                    [result["solution"] for result in results],
-                    shard_maxima,
-                    first_fresh_label=max_source_label + 1,
-                    dedupe=self._merge_dedupe,
-                )
-            return Instance._from_store(self._mapping.target, merged_store)
-        factory = NullFactory()
-        factory.reserve_through(max_source_label)
-        merged_rows: dict[str, list[Row]] = {
-            name: [] for name in self._mapping.target.relation_names
-        }
-        merged_facts = 0
-        staged = ProvenanceLog() if want_provenance else None
-        with tracer.span("exchange.merge", shards=len(shards)):
-            for result, shard_max in zip(results, shard_maxima):
-                relabeling: dict[LabeledNull, LabeledNull] = {}
-
-                def relabel(
-                    null: LabeledNull,
-                    shard_max: int = shard_max,
-                    relabeling: dict = relabeling,
-                ) -> LabeledNull:
-                    if null.label > shard_max:
-                        fresh = factory.fresh()
-                        relabeling[null] = fresh
-                        return fresh
-                    return null
-
-                shard_rows = unpack_rows(result["solution"], null_relabel=relabel)
-                if staged is not None and result["provenance"] is not None:
-                    shard_log = ProvenanceLog.from_json_text(result["provenance"])
-                    staged.absorb(shard_log.map_values(relabeling))
-                for name, rows in shard_rows.items():
-                    merged_rows[name].extend(rows)
-                    merged_facts += len(rows)
-                if budget is not None:
-                    try:
-                        budget.check(facts=merged_facts, phase="merge")
-                    except BudgetExceeded as exc:
-                        exc.partial = Instance(self._mapping.target, merged_rows)
-                        exc.provenance = staged
-                        raise
-        if staged is not None:
-            provenance.absorb(staged)
-        # Worker rows were validated against this same target schema when
-        # each shard chase built its solution, and relabeling only renames
-        # nulls (well-typed at every attribute type) — the validating
-        # constructor would re-prove what already holds, so skip it.  The
-        # frozensets also dedupe ground facts produced by several shards.
-        return Instance._unsafe(
-            self._mapping.target,
-            {name: frozenset(rows) for name, rows in merged_rows.items()},
+        return exchange_in_process(
+            self._mapping, source, self._max_steps, budget, provenance
         )
-
-    def _serial(
-        self,
-        source: Instance,
-        budget: Budget | None = None,
-        provenance: ProvenanceStore = NOOP,
-    ) -> Instance:
-        get_registry().increment("exchange.serial_runs")
-        return chase(
-            self._mapping,
-            source,
-            options=ExchangeOptions(max_steps=self._max_steps),
-            budget=budget,
-            provenance=provenance,
-        ).solution

@@ -1,15 +1,16 @@
-"""Circuit breaker for the shard-parallel executor's worker pool.
+"""Circuit breaker for the HTTP server's worker pool.
 
 Repeated pool failures mean the environment cannot sustain a process
 pool (sandbox limits, fork bombs, resource exhaustion); retrying every
 request just burns the backoff budget.  :class:`CircuitBreaker` counts
-consecutive failures and, past a threshold, *opens*: the executor pins
-itself to the serial chase without touching the pool.  After
+consecutive failures and, past a threshold, *opens*: the server runs
+payloads in process without touching the pool.  After
 ``reset_after`` seconds the breaker goes *half-open* and allows a single
 probe; a success closes it, a failure re-opens it.
 
-The breaker guards an optimization, never correctness — the serial
-chase is always sound, so an open breaker degrades throughput only.
+The breaker guards an optimization, never correctness — the
+in-process chase is always sound, so an open breaker degrades
+throughput only.
 Retry *pacing* lives in :class:`~repro.options.RetryPolicy`; this module
 only decides whether the pool is worth trying at all.
 """
@@ -26,9 +27,8 @@ __all__ = ["CircuitBreaker"]
 class CircuitBreaker:
     """Closed → (failures ≥ threshold) → open → (reset_after) → half-open.
 
-    Thread-safe; one breaker is shared by every request of a
-    :class:`~repro.exec.parallel.ParallelExchange` or
-    :class:`~repro.service.ExchangeService`.
+    Thread-safe; one breaker is shared by every request of an
+    :class:`~repro.service.ExchangeService` and the HTTP server over it.
     """
 
     def __init__(

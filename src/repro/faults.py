@@ -14,10 +14,10 @@ or passes.  With no plan installed the hook is one global read and a
 Seams currently instrumented:
 
 * ``"pool.spawn"``  — :class:`~repro.exec.parallel.ParallelExchange`
-  creating its ``ProcessPoolExecutor`` (inject ``OSError`` to simulate
-  spawn failure);
-* ``"pool.map"``    — dispatching a shard batch to the pool (inject
-  ``BrokenProcessPool`` to simulate a worker crash);
+  creating the server's ``ProcessPoolExecutor`` (inject ``OSError`` to
+  simulate spawn failure);
+* ``"pool.map"``    — the HTTP server dispatching a request payload to
+  the pool (inject ``BrokenProcessPool`` to simulate a worker crash);
 * ``"chase.step"``  — each target-dependency chase step (inject a sleep
   to simulate a slow/hostile chase and trip deadlines).
 
@@ -25,9 +25,9 @@ Cookbook::
 
     from repro.service.faults import FaultPlan, fault_injection
 
-    # the first two shard dispatches crash the pool, the third succeeds
+    # the first two pool dispatches crash, the third succeeds
     with fault_injection(FaultPlan.pool_crashes(2)):
-        service.exchange(source)
+        await client.exchange(body)      # against an ExchangeServer
 
     # a seeded schedule: reproducible, but not hand-placed
     with fault_injection(FaultPlan.seeded(7, site="pool.map", faults=2, horizon=8)):

@@ -226,7 +226,7 @@ def _plan_joins(
         if relation not in instance.schema:
             return 0
         # A store answers from its row counts — materializing value
-        # tuples just to count them would force lazily decoded shards.
+        # tuples just to count them would force lazily decoded instances.
         if store is not None:
             return store.counts.get(relation, 0)
         return len(instance.rows(relation))
@@ -492,8 +492,8 @@ def evaluate(
         "evaluate.rows_scanned": 0,
         "evaluate.id_joins": 0,
     }
-    # Instances that already carry a column store (unpacked shards in
-    # pool workers, sliced shards in the partitioner) evaluate in id
+    # Instances that already carry a column store (unpacked payloads in
+    # pool workers, sources the exchange built a store for) evaluate in id
     # space: index keys become packed int tuples and equality checks
     # compare ids, materializing values only per result binding.  Seeded
     # evaluations (witness checks) and function terms keep the row

@@ -170,6 +170,29 @@ def _resolve_limits(
     return DEFAULT_MAX_STEPS, budget
 
 
+def id_path_applies(
+    mapping: SchemaMapping,
+    variant: ChaseVariant,
+    budget: Budget | None,
+    provenance: ProvenanceStore,
+) -> bool:
+    """Whether :func:`chase` offers the st-tgd phase to the id-space path.
+
+    The id-space fast path (:func:`_chase_st_tgds_ids`) covers the
+    common dispatch — NAIVE, unbudgeted, no lineage, no target-dependency
+    phase to feed — and runs only when the source carries a column
+    store.  The in-process exchange (:mod:`repro.exec.parallel`) asks
+    the same question to decide whether building the source's store
+    first pays; :func:`chase` itself never builds one.
+    """
+    return (
+        variant is ChaseVariant.NAIVE
+        and budget is None
+        and not provenance.enabled
+        and not mapping.target_dependencies
+    )
+
+
 def chase(
     mapping: SchemaMapping,
     source: Instance,
@@ -217,8 +240,8 @@ def chase(
     factory = NullFactory()
     source_store = source.columnar_store
     if source_store is not None:
-        # Answering from the store keeps lazily decoded shard instances
-        # lazy — scanning source.values() would force the value table.
+        # Answering from the store keeps lazily decoded instances lazy —
+        # scanning source.values() would force the value table.
         factory.reserve_through(source_store.max_labeled_null())
     else:
         factory.reserve_through(max_null_label(source.values()))
@@ -230,16 +253,9 @@ def chase(
             "chase", variant=variant.value, source_facts=source.size()
         ) as span:
             with tracer.span("chase.st_tgds", tgds=len(mapping.tgds)):
-                # The id-space fast path covers the common dispatch —
-                # NAIVE, unbudgeted, no lineage, no target-dependency
-                # phase to feed — and otherwise declines, leaving the
-                # value-space engine (and its validation errors) intact.
-                if (
-                    variant is ChaseVariant.NAIVE
-                    and budget is None
-                    and not provenance.enabled
-                    and not mapping.target_dependencies
-                ):
+                # The fast path declines whatever it cannot run, leaving
+                # the value-space engine (and its validation errors) intact.
+                if id_path_applies(mapping, variant, budget, provenance):
                     target = _chase_st_tgds_ids(mapping, source, factory, stats)
                 if target is None:
                     target_facts = _chase_st_tgds(

@@ -102,8 +102,8 @@ def spans_from_records(records: Iterable[Mapping[str, Any]]) -> list[Span]:
     The inverse direction exists for one reason: worker processes record
     their own spans and ship them home as records; the parent rebuilds
     the trees here and grafts them into its trace
-    (:meth:`repro.obs.Tracer.attach`) so shard chases stitch under the
-    request that dispatched them.  Rebuilt spans get fresh ids from this
+    (:meth:`repro.obs.Tracer.attach`) so worker-side chases stitch under
+    the request that dispatched them.  Rebuilt spans get fresh ids from this
     process's counter — the ``id``/``parent`` links of the records only
     wire up the tree — so a later export never emits duplicate ids.
     """

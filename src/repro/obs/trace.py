@@ -136,8 +136,8 @@ class Tracer:
 
         Worker processes record their own spans; the parent rebuilds
         them (:func:`repro.obs.export.spans_from_records`) and attaches
-        them here so the exported trace shows shard chases stitched
-        under the request that dispatched them.
+        them here so the exported trace shows worker-side chases
+        stitched under the request that dispatched them.
         """
         if self._stack:
             self._stack[-1].children.append(span)

@@ -10,8 +10,9 @@ This module unifies them:
 
 Fields map one-to-one onto CLI flags (``--workers``, ``--cache``,
 ``--max-steps``, ``--deadline``, ``--max-facts``), onto the knobs of
-:class:`~repro.service.ExchangeService`, and onto the JSON ``options``
-object of the HTTP service (:meth:`ExchangeOptions.as_dict` /
+:class:`~repro.service.ExchangeService`, and — all but the server-side
+``workers`` and ``retry`` — onto the JSON ``options`` object of the HTTP
+service (:meth:`ExchangeOptions.as_dict` /
 :meth:`ExchangeOptions.from_dict` — see docs/SERVICE.md).  The
 pre-unification keyword arguments (``workers=``/``cache=`` on
 ``ExchangeEngine.compile``, ``max_target_steps=`` on ``chase``) were
@@ -45,11 +46,14 @@ DEFAULT_MAX_STEPS = 10_000
 class RetryPolicy:
     """Exponential backoff with jitter for pool startup / worker crashes.
 
+    The HTTP server (:mod:`repro.service.aserve`) applies it to its
+    worker-pool dispatch.
+
     ``delay(attempt)`` for attempts 1, 2, 3... is
     ``min(max_delay, base_delay * multiplier**(attempt-1))`` scaled by a
     random factor in ``[1, 1+jitter]``.  A ``seed`` makes the jitter
     deterministic (fault-injection tests rely on this).  ``max_retries=0``
-    restores the seed's one-shot serial fallback.
+    falls back to the in-process chase after one failed dispatch.
     """
 
     max_retries: int = 3
@@ -83,7 +87,8 @@ class RetryPolicy:
 class ExchangeOptions:
     """Every limit and executor knob of one exchange, in one frozen object.
 
-    * ``workers`` — shard the chase across N worker processes;
+    * ``workers`` — size of the HTTP server's worker pool (requests,
+      not parts of one, run in parallel; server-side, not on the wire);
     * ``cache`` — LRU capacity (or a prebuilt
       :class:`~repro.exec.cache.ExchangeCache`) for universal solutions;
     * ``max_steps`` — target-dependency chase-step cap
@@ -91,7 +96,7 @@ class ExchangeOptions:
     * ``deadline`` — wall-clock seconds per request
       (:class:`~repro.budget.BudgetExceeded` past it);
     * ``max_facts`` — target-fact cap per request (ditto);
-    * ``retry`` — pool failure :class:`RetryPolicy`;
+    * ``retry`` — the server pool's failure :class:`RetryPolicy`;
     * ``provenance`` — record fact-level lineage (``True`` for a fresh
       per-request :class:`~repro.provenance.ProvenanceLog`, or a
       prebuilt :class:`~repro.provenance.ProvenanceStore`); results
@@ -102,11 +107,6 @@ class ExchangeOptions:
       (SQL-compiled via :mod:`repro.backends`; mappings outside the
       compilable fragment fall back to the interpreted chase with a
       structured reason).
-    * ``min_parallel_facts`` — smallest source (in facts) the executor
-      dispatches to worker processes; smaller sources chase serially.
-      ``None`` (the default) means *auto*: a built-in threshold below
-      which pool dispatch cannot amortize its fixed costs.  ``0``
-      forces dispatch for every parallelizable request.
     """
 
     workers: int | None = None
@@ -117,15 +117,10 @@ class ExchangeOptions:
     retry: RetryPolicy = RetryPolicy()
     provenance: "bool | ProvenanceStore" = False
     backend: str = "interpreted"
-    min_parallel_facts: int | None = None
 
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.min_parallel_facts is not None and self.min_parallel_facts < 0:
-            raise ValueError(
-                f"min_parallel_facts must be >= 0, got {self.min_parallel_facts}"
-            )
         if isinstance(self.cache, int) and self.cache < 1:
             raise ValueError(f"cache capacity must be >= 1, got {self.cache}")
         if self.max_steps < 1:
@@ -185,17 +180,15 @@ class ExchangeOptions:
     # -- wire format --------------------------------------------------------
 
     # The fields a remote client may set, i.e. everything that survives a
-    # JSON round-trip.  ``retry`` stays server-side (a retry policy is an
-    # operator knob, not a request knob).
+    # JSON round-trip.  ``workers`` and ``retry`` stay server-side (pool
+    # size and retry policy are operator knobs, not request knobs).
     _WIRE_FIELDS = (
-        "workers",
         "cache",
         "max_steps",
         "deadline",
         "max_facts",
         "backend",
         "provenance",
-        "min_parallel_facts",
     )
 
     def as_dict(self) -> dict[str, Any]:

@@ -1,7 +1,7 @@
 """Fact-level provenance for the exchange engine.
 
 Every path that creates or rewrites target facts — the chase, the
-compiled lens, the shard-parallel executor, the solution cache and the
+compiled lens, the executor, the solution cache and the
 budgeted service — threads a :class:`ProvenanceStore` through its firing
 sites.  With provenance enabled the store is a :class:`ProvenanceLog`
 whose records justify every solution fact (``repro explain`` /

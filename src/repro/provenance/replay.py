@@ -6,8 +6,8 @@ binding must (a) reproduce exactly the recorded justifying facts, which
 must themselves be justified (source facts for st-tgd firings, earlier
 derived facts for target-dependency firings), and (b) re-derive the
 fact — up to the egd rewrite history the log also records.  The
-property holds across every executor seam (serial chase, shard-parallel
-merge, cache hit, budget-interrupted resume); the suite's replay
+property holds across every executor seam (in-process chase, cache
+hit, budget-interrupted resume); the suite's replay
 property tests drive each one through this module.
 """
 

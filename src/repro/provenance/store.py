@@ -15,12 +15,12 @@ egd rewrites) to its derivations, so lookups work on solution facts
 while replay still sees the values exactly as recorded.  Logs survive
 every executor seam:
 
-* :meth:`map_values` — the parallel executor pushes each shard's
-  null-namespace relabeling through the shard's log before merging;
-* :meth:`absorb` — shard logs merge into the request log, and a cache
-  hit's stored log is absorbed into the requesting store;
+* :meth:`map_values` — push a null renaming through a log, so its
+  records name the nulls of a renamed solution;
+* :meth:`absorb` — a cache hit's stored log is absorbed into the
+  requesting store;
 * :meth:`to_json` / :meth:`from_json` — logs travel across the process
-  pool alongside the shard solutions;
+  pool alongside the payload outcomes;
 * :meth:`copy` — the service snapshots a log into a
   :class:`~repro.service.ResumptionToken` so later resumes extend it
   without mutating the token.
@@ -305,10 +305,9 @@ class ProvenanceLog(ProvenanceStore):
     def map_values(self, substitution: Mapping[Value, Value]) -> "ProvenanceLog":
         """A new log with *substitution* applied to every recorded value.
 
-        The parallel executor's shard merge relabels each shard's
-        invented nulls into a disjoint namespace; the shard's log must be
-        pushed through the **same** relabeling before it is absorbed,
-        or its records would name nulls the merged solution never saw.
+        A solution whose nulls are renamed needs its log pushed through
+        the **same** renaming, or the records would name nulls the
+        renamed solution never saw.
         """
         if not substitution:
             return self.copy()
@@ -351,9 +350,8 @@ class ProvenanceLog(ProvenanceStore):
     def absorb(self, other: "ProvenanceLog") -> "ProvenanceLog":
         """Append *other*'s records to this log (steps renumbered after ours).
 
-        Sound when the two histories are independent (shard logs merged
-        into a fresh request log, a cached log absorbed into an empty
-        requesting store): *other*'s rewrites must not apply to facts
+        Sound when the two histories are independent (a cached log
+        absorbed into an empty requesting store): *other*'s rewrites must not apply to facts
         recorded here and vice versa.  Returns ``self`` for chaining.
         """
         offset = self._steps

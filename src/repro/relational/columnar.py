@@ -1,4 +1,4 @@
-"""Columnar instance storage and the flat-buffer shard codec.
+"""Columnar instance storage and the flat-buffer codec.
 
 A :class:`ColumnStore` is the columnar view of an
 :class:`~repro.relational.instance.Instance`: every relation holds one
@@ -16,12 +16,11 @@ The store backs three hot paths:
   tuples) is a content-normal form, so
   :meth:`~repro.relational.instance.Instance.fingerprint` hashes its
   packed buffers directly instead of repr-walking every fact;
-* **shard shipping** — :func:`pack_instance` /​ :func:`unpack_instance`
+* **payload shipping** — :func:`pack_instance` /​ :func:`unpack_instance`
   serialize an instance as one flat buffer (packed column arrays with
-  width-minimal ids + the value table), which
-  :mod:`repro.exec.parallel` ships to pool workers as raw bytes or
-  through ``multiprocessing.shared_memory`` instead of pickled object
-  graphs;
+  width-minimal ids + the value table), which the streaming service
+  (:mod:`repro.service.streaming`) sends to pool workers instead of
+  pickled object graphs;
 * **id-space evaluation** — :func:`repro.logic.evaluation.evaluate`
   joins premises over int columns when a store is attached, and the SQL
   backends bulk-load the id vectors straight into their tables.
@@ -45,8 +44,8 @@ Buffer layout (all integers little-endian)::
 
 Ids inside a buffer are *local*: indexes into the shipped value table
 (constants ``0..C-1``, labelled nulls ``C..C+L-1``, Skolems after).
-Packing a sliced store compacts the table to the values its rows
-actually use, so a shard never ships its siblings' data.
+Packing compacts the table to the values the rows actually use, so a
+chase solution never ships its source's unused constants.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ import json
 import pickle
 import struct
 from array import array
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .schema import Schema
 from .values import (
@@ -107,9 +106,7 @@ class ColumnStore:
     sorted by :func:`value_sort_key`, rows are sorted as id tuples, and
     the table holds exactly the instance's active domain — two equal
     instances build byte-identical canonical stores, which is what
-    :meth:`digest` (and so ``Instance.fingerprint``) relies on.  Sliced
-    stores share their parent's table (a superset of what their rows
-    use) and are therefore never canonical.
+    :meth:`digest` (and so ``Instance.fingerprint``) relies on.
     """
 
     __slots__ = (
@@ -127,7 +124,6 @@ class ColumnStore:
         "_used",
         "_digest",
         "_packed",
-        "memo",
     )
 
     def __init__(
@@ -155,11 +151,6 @@ class ColumnStore:
         self._used: list[int] | None = None
         self._digest: str | None = None
         self._packed: bytes | None = None
-        #: Instance-lifetime scratch for derived results computed *from*
-        #: this store (the partitioner caches its Partitioning here keyed
-        #: by mapping fingerprint + shard count).  Stores are immutable,
-        #: so entries never go stale.
-        self.memo: dict = {}
 
     @classmethod
     def _deferred(
@@ -174,8 +165,8 @@ class ColumnStore:
     ) -> "ColumnStore":
         """A store whose value table and rows materialize on first use.
 
-        The merge fast path (:func:`merge_result_buffers`) assembles
-        instances entirely in id space, and the worker-side shard decode
+        The id-space chase (:mod:`repro.mapping.chase`) assembles its
+        solutions entirely in id space, and the lazy decode
         (:func:`unpack_instance_lazy`) never needs value tuples at all;
         wrapping ~10⁴ raw scalars and null labels into :class:`Value`
         objects — let alone value-tuple rows — is deferred until someone
@@ -198,7 +189,6 @@ class ColumnStore:
         self._used = None
         self._digest = None
         self._packed = None
-        self.memo = {}
         return self
 
     @property
@@ -312,37 +302,6 @@ class ColumnStore:
             canonical=True,
         )
 
-    def slice(self, selection: Mapping[str, Sequence[int]]) -> "ColumnStore":
-        """A sub-store keeping only the selected row positions per relation.
-
-        Shares this store's value table and id map (so slicing is cheap
-        and ids stay comparable across sibling slices); relations absent
-        from *selection* come out empty.  The result is not canonical —
-        its table is a superset of what its rows use — but packs
-        compactly (:meth:`pack` drops unused table entries).
-        """
-        rows_by_rel: dict[str, list[Row]] = {}
-        cols_by_rel: dict[str, tuple[array, ...]] = {}
-        code = width_code(self.table_size())
-        for name in self.schema.relation_names:
-            picked = selection.get(name, ())
-            source_rows = self.rows[name]
-            source_cols = self.columns[name]
-            rows_by_rel[name] = [source_rows[i] for i in picked]
-            cols_by_rel[name] = tuple(
-                array(code, (col[i] for i in picked)) for col in source_cols
-            )
-        return ColumnStore(
-            self.schema,
-            self.values,
-            self.constant_count,
-            self.labeled_count,
-            self._ids,
-            rows_by_rel,
-            cols_by_rel,
-            canonical=False,
-        )
-
     # -- structure ---------------------------------------------------------
 
     def size(self) -> int:
@@ -440,8 +399,8 @@ class ColumnStore:
         """Largest labelled-null label used by this store's rows (−1 if none).
 
         The labelled-null region is contiguous and label-sorted in
-        canonical (and slice-of-canonical) tables, so the answer is the
-        label behind the largest used id inside that region.
+        canonical tables, so the answer is the label behind the largest
+        used id inside that region.
         """
         lo = self.constant_count
         hi = lo + self.labeled_count
@@ -567,7 +526,7 @@ class ColumnStore:
     def pack(self) -> bytes:
         """Serialize to one flat buffer (see the module docstring layout).
 
-        Canonical stores pack verbatim; sliced stores first compact the
+        Canonical stores pack verbatim; other stores first compact the
         value table down to the ids their rows use (keeping relative
         order, so label-sortedness survives) and remap columns into the
         compacted — and usually narrower — id space.
@@ -614,15 +573,15 @@ class ColumnStore:
     def _pack_raw(self) -> bytes:
         """Pack a deferred store straight from its raw parts.
 
-        Deferred stores (merge results, id-space chase solutions) know
-        their raw constants, null labels and id columns but have never
-        built a :class:`Value` table — and packing is often the *only*
-        thing that happens to them (a worker shipping its shard solution
-        home), so building the table just to unwrap it again would undo
-        the point.  Compacts to used ids exactly like :meth:`pack`;
-        keeping relative order preserves label-sortedness.  The header
-        carries this store's ``canonical`` flag: merge results and chase
-        solutions are emission-ordered (``canon: false``), while a
+        Deferred stores (id-space chase solutions) know their raw
+        constants, null labels and id columns but have never built a
+        :class:`Value` table — and packing is often the *only* thing that
+        happens to them (a worker shipping its solution home), so
+        building the table just to unwrap it again would undo the point.
+        Compacts to used ids exactly like :meth:`pack`; keeping relative
+        order preserves label-sortedness.  The header carries this
+        store's ``canonical`` flag: chase solutions are emission-ordered
+        (``canon: false``), while a
         lazily decoded canonical buffer (:func:`unpack_instance_lazy`)
         round-trips as canonical.
         """
@@ -769,68 +728,6 @@ def pack_instance(instance: "Instance") -> bytes:
     return store.pack()
 
 
-def pack_rows(
-    schema: Schema, rows_by_rel: Mapping[str, Iterable["Row"]]
-) -> bytes:
-    """Pack rows as a *non-canonical* flat buffer, skipping the store build.
-
-    The fast result-shipping path: no global :func:`value_sort_key` sort
-    of the table, no row sort — constants intern in first-seen order and
-    rows keep iteration order.  Only the labelled nulls are sorted (a
-    cheap integer sort), because the merge side relabels invented nulls
-    in table order and must mint fresh labels in ascending old-label
-    order to match the serial merge's naming.  The buffer decodes
-    through :func:`unpack_instance` / :func:`unpack_rows` like any
-    other, but its header says ``canon: false`` so the attached store is
-    never mistaken for a canonical one.
-    """
-    const_ids: dict = {}
-    nulls: set[LabeledNull] = set()
-    skolems: set[Value] = set()
-    materialized = {name: list(rows) for name, rows in rows_by_rel.items()}
-    for rows in materialized.values():
-        for row in rows:
-            for value in row:
-                kind = type(value)
-                if kind is Constant:
-                    const_ids.setdefault(value.value, len(const_ids))
-                elif kind is LabeledNull:
-                    nulls.add(value)
-                else:
-                    skolems.add(value)
-    table: list[Value] = [constant(raw) for raw in const_ids]
-    const_n = len(table)
-    labeled_n = len(nulls)
-    ids: dict = dict(const_ids)
-    for value in sorted(nulls, key=lambda null: null.label):
-        ids[value] = len(table)
-        table.append(value)
-    for value in sorted(skolems, key=value_sort_key):
-        ids[value] = len(table)
-        table.append(value)
-    code = width_code(len(table))
-    rels = []
-    col_blobs: list[bytes] = []
-    for name, rows in materialized.items():
-        arity = schema[name].arity
-        rels.append([name, arity, len(rows)])
-        if arity and rows:
-            id_rows = [
-                tuple(
-                    ids[v.value] if type(v) is Constant else ids[v]
-                    for v in row
-                )
-                for row in rows
-            ]
-            for col in zip(*id_rows):
-                col_blobs.append(array(code, col).tobytes())
-        else:
-            col_blobs.extend(b"" for _ in range(arity))
-    return _assemble_buffer(
-        schema, table, const_n, labeled_n, rels, col_blobs, code, False
-    )
-
-
 def _read_blob(buffer: bytes, offset: int) -> tuple[bytes, int]:
     (length,) = _BLOB_LEN.unpack_from(buffer, offset)
     offset += _BLOB_LEN.size
@@ -846,11 +743,11 @@ def _read_raw_table(
     """Parse header + raw value-table parts, building no :class:`Value`\\ s.
 
     Returns ``(header, raw_constants, labels, skolems, offset)`` where
-    *offset* points at the first column blob.  The id-space merge path
-    (:func:`merge_result_buffers`) works directly on raw scalars and
+    *offset* points at the first column blob.  The lazy decode
+    (:func:`unpack_instance_lazy`) works directly on raw scalars and
     integer labels, so wrapping them in value objects here would be
     wasted work; :func:`_decode_table` layers that on for the
-    value-space decoders.
+    value-space decoder.
     """
     if buffer[: len(MAGIC)] != MAGIC:
         raise ColumnarFormatError("not a columnar instance buffer (bad magic)")
@@ -882,18 +779,11 @@ def _read_raw_table(
     return header, raw_constants, labels, skolems, offset
 
 
-def _decode_table(
-    buffer: bytes,
-    null_relabel: Callable[[LabeledNull], LabeledNull] | None,
-) -> tuple[dict, list[Value], int]:
-    """Shared decode prefix: header + rebuilt value table + column offset."""
+def _decode_table(buffer: bytes) -> tuple[dict, list[Value], int]:
+    """Decode prefix: header + rebuilt value table + column offset."""
     header, raw_constants, labels, skolems, offset = _read_raw_table(buffer)
     table: list[Value] = [constant(raw) for raw in raw_constants]
-    for label in labels:
-        null = LabeledNull(label)
-        if null_relabel is not None:
-            null = null_relabel(null)
-        table.append(null)
+    table.extend(LabeledNull(label) for label in labels)
     table.extend(skolems)
     return header, table, offset
 
@@ -917,46 +807,8 @@ def _decode_columns(
         yield name, arity, nrows, cols
 
 
-def unpack_rows(
-    buffer: bytes | bytearray | memoryview,
-    null_relabel: Callable[[LabeledNull], LabeledNull] | None = None,
-) -> dict[str, list["Row"]]:
-    """Decode a flat buffer into bare row lists — no instance, no store.
-
-    The merge-side fast path: shard solutions only need their rows
-    unioned into the final target instance, so building a full
-    :class:`Instance` (frozensets, attached store, id map) per shard is
-    wasted work.  Same *null_relabel* contract as
-    :func:`unpack_instance`; relations the buffer doesn't mention are
-    simply absent from the result.
-    """
-    buffer = bytes(buffer)
-    header, table, offset = _decode_table(buffer, null_relabel)
-    table_size = len(table)
-    lookup = table.__getitem__
-    rows_by_rel: dict[str, list[Row]] = {}
-    for name, arity, nrows, cols in _decode_columns(buffer, header, offset):
-        for col in cols:
-            if table_size <= (max(col) if col else -1):
-                raise ColumnarFormatError("column id outside the value table")
-        if arity:
-            rows_by_rel[name] = list(zip(*(map(lookup, col) for col in cols)))
-        else:
-            rows_by_rel[name] = [()] * nrows
-    return rows_by_rel
-
-
-def unpack_instance(
-    buffer: bytes | bytearray | memoryview,
-    null_relabel: Callable[[LabeledNull], LabeledNull] | None = None,
-) -> "Instance":
+def unpack_instance(buffer: bytes | bytearray | memoryview) -> "Instance":
     """Decode a flat buffer into an :class:`Instance` with attached store.
-
-    *null_relabel* maps each labelled null of the buffer's value table to
-    the null the decoded instance should carry instead (identity when it
-    returns its argument) — the shard-merge hook that renames invented
-    nulls into a disjoint namespace *before* rows are materialized, so
-    no second ``map_values`` pass over the decoded instance is needed.
 
     Decoding is table-first: the value table is rebuilt once (constants
     re-interned through :func:`~repro.relational.values.constant`), then
@@ -964,14 +816,13 @@ def unpack_instance(
     table lookups.  Rows are trusted — they were validated when the
     packing side built its instance — so the validating constructor is
     skipped.  The attached store keeps the buffer's row order, which for
-    buffers packed from canonical (or sliced-canonical) stores is itself
-    canonical.
+    buffers packed from canonical stores is itself canonical.
     """
     from .instance import Instance
     from .serialization import schema_from_json
 
     buffer = bytes(buffer)
-    header, table, offset = _decode_table(buffer, null_relabel)
+    header, table, offset = _decode_table(buffer)
     const_n = header["consts"]
     labeled_n = header["labeled"]
     ids: dict = {}
@@ -1018,14 +869,10 @@ def unpack_instance(
         ids,
         rows_by_rel,
         cols_by_rel,
-        # Table compaction and row sorting happened on the packing side;
-        # relabeling preserves both (fresh labels are minted in
-        # ascending old-label order from a factory reserved past every
-        # smaller label), so the decoded store is canonical whenever the
-        # packed one was built from a canonical (or sliced-canonical)
-        # store — the header says which — *and* no relabeling crossed
-        # the source/invented split.
-        canonical=header.get("canon", True) and null_relabel is None,
+        # Table compaction and row sorting happened on the packing side,
+        # so the decoded store is canonical whenever the packed one was
+        # (the header says which).
+        canonical=bool(header.get("canon", True)),
     )
     instance._columnar = store
     return instance
@@ -1036,21 +883,19 @@ def unpack_instance_lazy(
 ) -> "Instance":
     """Decode a flat buffer into a store-backed instance, deferring values.
 
-    The worker-side twin of :func:`unpack_instance`: the id columns are
-    decoded and validated eagerly (same structural checks), but the
-    value table, the value → id map and the value-tuple rows stay as raw
-    parts until someone reads them.  The id-space chase fast path
+    The lazy twin of :func:`unpack_instance`: the id columns are decoded
+    and validated eagerly (same structural checks), but the value table,
+    the value → id map and the value-tuple rows stay as raw parts until
+    someone reads them.  The id-space chase fast path
     (:func:`repro.mapping.chase.chase`) joins premises over the columns
-    and copies the raw parts into its solution store, so for the common
-    shard dispatch none of those ever materialize — at bench sizes the
-    eager decode was costing a pool worker as much as the chase itself.
+    and copies the raw parts into its solution store, so none of those
+    ever materialize.
 
     The buffer's ``canon`` header carries over: a buffer packed from a
-    canonical (or sliced-canonical) store decodes to a store whose table
-    order is the ``value_sort_key`` order, which the chase fast path
-    relies on for firing-order (and so null-naming) parity with the
-    value-space engine.  No ``null_relabel`` hook — relabeling is a
-    merge-side concern and forces value materialization anyway.
+    canonical store decodes to a store whose table order is the
+    ``value_sort_key`` order, which the chase fast path relies on for
+    firing-order (and so null-naming) parity with the value-space
+    engine.
     """
     from .instance import Instance
     from .serialization import schema_from_json
@@ -1091,142 +936,3 @@ def unpack_instance_lazy(
         canonical=bool(header.get("canon", True)),
     )
     return Instance._from_store(schema, store)
-
-
-def merge_result_buffers(
-    schema: Schema,
-    buffers: Sequence[bytes | bytearray | memoryview],
-    shard_maxima: Sequence[int],
-    first_fresh_label: int,
-    dedupe: bool,
-) -> ColumnStore:
-    """Union shard-solution buffers into one deferred store, in id space.
-
-    The merge-side fast path for the common dispatch (no step budget, no
-    provenance): instead of decoding every buffer into value-tuple rows
-    and re-freezing them, assign each distinct raw constant / null label
-    / Skolem value one global id, translate every shard's columns
-    through a per-shard remap list at C speed, and concatenate.  Value
-    objects and row tuples materialize later, only if someone reads them
-    (:meth:`ColumnStore._deferred`).
-
-    A shard's labels ``> shard_maxima[i]`` are worker-invented nulls:
-    they get fresh labels counting up from *first_fresh_label* in
-    ascending old-label order per shard, in shard order — buffers sort
-    nulls by label (:func:`pack_rows`), so this reproduces exactly the
-    names the value-space merge mints through its ``NullFactory``.
-    Labels at or below the shard maximum are source nulls shared across
-    shards and keep their label, so co-shipped nulls unify.
-
-    With *dedupe* false the caller asserts shard solutions are pairwise
-    disjoint (e.g. every tgd conclusion atom carries a per-firing
-    existential null) and rows concatenate verbatim; with *dedupe* true
-    duplicate id-rows are dropped after concatenation.
-    """
-    const_ix: dict = {}
-    null_ix: dict[int, int] = {}
-    skolem_ix: dict = {}
-    merged_labels: list[int] = []
-    next_label = first_fresh_label
-    parsed = []
-    for shipped, shard_max in zip(buffers, shard_maxima):
-        buffer = bytes(shipped)
-        header, raw_constants, labels, skolems, offset = _read_raw_table(buffer)
-        const_part: list[int] = []
-        for raw in raw_constants:
-            ix = const_ix.get(raw)
-            if ix is None:
-                ix = len(const_ix)
-                const_ix[raw] = ix
-            const_part.append(ix)
-        null_part: list[int] = []
-        for label in labels:
-            if label > shard_max:
-                label = next_label
-                next_label += 1
-            ix = null_ix.get(label)
-            if ix is None:
-                ix = len(null_ix)
-                null_ix[label] = ix
-                merged_labels.append(label)
-            null_part.append(ix)
-        skolem_part: list[int] = []
-        for skolem in skolems:
-            ix = skolem_ix.get(skolem)
-            if ix is None:
-                ix = len(skolem_ix)
-                skolem_ix[skolem] = ix
-            skolem_part.append(ix)
-        parsed.append((header, offset, buffer, const_part, null_part, skolem_part))
-
-    const_n = len(const_ix)
-    labeled_n = len(null_ix)
-    code = width_code(const_n + labeled_n + len(skolem_ix))
-    merged_cols: dict[str, list[array]] = {
-        name: [array(code) for _ in range(schema[name].arity)]
-        for name in schema.relation_names
-    }
-    counts: dict[str, int] = {name: 0 for name in schema.relation_names}
-    skolem_base = const_n + labeled_n
-    for header, offset, buffer, remap, null_part, skolem_part in parsed:
-        remap.extend(const_n + ix for ix in null_part)
-        remap.extend(skolem_base + ix for ix in skolem_part)
-        for name, arity, nrows, cols in _decode_columns(buffer, header, offset):
-            if name not in merged_cols:
-                raise ColumnarFormatError(
-                    f"buffer names unknown relation {name!r}"
-                )
-            if arity != schema[name].arity:
-                raise ColumnarFormatError(
-                    f"arity mismatch for {name!r}: schema says "
-                    f"{schema[name].arity}, buffer says {arity}"
-                )
-            counts[name] += nrows
-            dest = merged_cols[name]
-            try:
-                for position, col in enumerate(cols):
-                    dest[position].extend(map(remap.__getitem__, col))
-            except IndexError:
-                raise ColumnarFormatError(
-                    "column id outside the value table"
-                ) from None
-
-    if dedupe:
-        for name, cols in merged_cols.items():
-            if not cols:
-                if counts[name] > 1:
-                    counts[name] = 1
-                continue
-            if counts[name] < 2:
-                continue
-            seen: set = set()
-            add = seen.add
-            keep: list[int] = []
-            for position, key in enumerate(zip(*cols)):
-                if key not in seen:
-                    add(key)
-                    keep.append(position)
-            if len(keep) != counts[name]:
-                merged_cols[name] = [
-                    array(code, map(col.__getitem__, keep)) for col in cols
-                ]
-                counts[name] = len(keep)
-
-    return ColumnStore._deferred(
-        schema,
-        list(const_ix),
-        merged_labels,
-        list(skolem_ix),
-        counts,
-        {name: tuple(cols) for name, cols in merged_cols.items()},
-    )
-
-
-def buffer_sizes(buffers: Iterable[bytes]) -> dict[str, int]:
-    """Aggregate byte accounting for a batch of packed buffers."""
-    sizes = [len(b) for b in buffers]
-    return {
-        "count": len(sizes),
-        "total_bytes": sum(sizes),
-        "max_bytes": max(sizes, default=0),
-    }

@@ -146,8 +146,8 @@ class Instance:
         vectors in the attached
         :class:`~repro.relational.columnar.ColumnStore` are the data,
         and ``_relations`` materializes from them on first access.  The
-        parallel merge builds its final solution this way, so callers
-        that only fingerprint, re-ship, or feed the solution to a
+        id-space chase builds its solutions this way, so callers that
+        only fingerprint, re-ship, or feed the solution to a
         columnar-aware consumer never pay for the tuple view.
         """
         self = object.__new__(cls)
@@ -330,8 +330,8 @@ class Instance:
         relation one integer id vector per column over a dense value
         table sorted by :func:`~repro.relational.values.value_sort_key`.
         Built on first request and memoized (instances are immutable);
-        the store backs :meth:`fingerprint`, flat-buffer shard shipping
-        and the id-space evaluation path.  Shard instances decoded by
+        the store backs :meth:`fingerprint`, flat-buffer payload
+        shipping and the id-space evaluation path.  Instances decoded by
         :func:`~repro.relational.columnar.unpack_instance` arrive with a
         store already attached and skip the build entirely.
         """
@@ -347,7 +347,7 @@ class Instance:
     def columnar_store(self):
         """The attached column store, or ``None`` — never triggers a build.
 
-        Hot paths (the id-space evaluator, the shard packers) use this
+        Hot paths (the id-space evaluator, the payload packers) use this
         to engage columnar machinery only when a store already exists,
         so purely interpreted workloads never pay for a build they would
         not amortize.

@@ -16,7 +16,7 @@ sheds load past its admission limit, and degrades to
         result = service.resume(source, result.token)
 
 The service speaks request/response objects (:class:`ExchangeRequest`,
-:class:`ExchangeResponse`), streams fact chunks as shards complete
+:class:`ExchangeResponse`), streams bounded fact chunks
 (:meth:`ExchangeService.stream`, :class:`StreamingSolution`), shares its
 capacity fairly across tenants (:class:`TenantQuota`,
 :class:`~repro.service.tenancy.FairShareGate`) and serves it all over

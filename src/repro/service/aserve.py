@@ -3,18 +3,29 @@
 A handwritten HTTP/1.1 layer over ``asyncio.start_server`` (standard
 library only, by design): one event loop accepts any number of
 concurrent connections, admission control runs per tenant in the loop,
-and the CPU-bound chase payloads are dispatched to worker processes via
-``loop.run_in_executor`` — the loop never blocks on a chase, so a slow
-exchange cannot starve its neighbours' accepts or streams.
+and each request's CPU-bound chase payload is dispatched to a worker
+process via ``loop.run_in_executor`` — the loop never blocks on a chase,
+so a slow exchange cannot starve its neighbours' accepts or streams.
+
+Pool failures (spawn errors, a killed worker) are retried with
+exponential backoff + jitter under the service's
+:class:`~repro.options.RetryPolicy`; repeated failures open the
+service's :class:`~repro.exec.retry.CircuitBreaker`.  When retries run
+out or the breaker is open, the payload runs in process on a thread, so
+a broken pool costs throughput, never an answer.  Both seams carry
+:func:`~repro.faults.fault_point` hooks (``"pool.spawn"``,
+``"pool.map"``) for the fault-injection harness.
 
 Routes (full wire contract in docs/SERVICE.md):
 
 * ``POST /v1/exchange`` — body is :meth:`ExchangeRequest.as_dict` plus
   an optional ``"stream"`` flag (default true).  Streaming responses
-  are chunked NDJSON: a ``header`` line, ``facts`` lines as shards
-  complete, and a ``summary`` trailer carrying the resumption token
-  when the request degraded.  ``"stream": false`` buffers and returns
-  one :meth:`ExchangeResponse.as_dict` JSON body.
+  are chunked NDJSON: a ``header`` line, ``facts`` lines, and a
+  ``summary`` trailer carrying the resumption token when the request
+  degraded.  The status line is written once the payload's outcome is
+  in, so errors are real HTTP statuses, never text inside a 200 body.
+  ``"stream": false`` buffers and returns one
+  :meth:`ExchangeResponse.as_dict` JSON body.
 * ``GET /v1/health`` — service liveness + the admission gate's
   per-tenant snapshot.
 
@@ -33,12 +44,13 @@ from __future__ import annotations
 import asyncio
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
-from typing import Any, AsyncIterator, Mapping
+from concurrent.futures.process import BrokenProcessPool
+from typing import Any, Awaitable, Callable, Mapping
 
+from ..exec.parallel import ParallelExchange
+from ..faults import fault_point
 from ..mapping.chase import ChaseFailure
 from ..obs import get_registry, get_tracer
-from ..options import ExchangeOptions
 from .api import ExchangeRequest
 from .service import ExchangeService
 from .streaming import DEFAULT_CHUNK_FACTS, StreamSession, exchange_payload
@@ -96,10 +108,10 @@ class ExchangeServer:
     >>> await server.start()          # port 0 → OS-assigned, see .port
     >>> await server.serve_forever()  # or: await server.aclose()
 
-    The server shares the service's worker pool when the engine has one
-    (``options.workers``); otherwise it lazily spawns its own
-    ``ProcessPoolExecutor`` so request payloads still leave the event
-    loop.  Every connection handles one request (``Connection: close``)
+    With ``options.workers`` set the server dispatches to the engine
+    executor's pool of that size; otherwise it owns a two-worker pool,
+    so request payloads still leave the event loop.
+    Every connection handles one request (``Connection: close``)
     — load balancers in front of an exchange fleet reconnect per
     request anyway, and it keeps the protocol state machine trivial.
     """
@@ -119,7 +131,14 @@ class ExchangeServer:
         self._chunk_facts = chunk_facts
         self._max_body_bytes = max_body_bytes
         self._server: asyncio.AbstractServer | None = None
-        self._own_pool: ProcessPoolExecutor | None = None
+        executor = service.engine.executor
+        self._owns_pool = executor is None or service.options.workers is None
+        self._executor = (
+            ParallelExchange(service.mapping, workers=2)
+            if self._owns_pool
+            else executor
+        )
+        self._rng = service.options.retry.rng()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -135,13 +154,18 @@ class ExchangeServer:
         # workers mid-request would hand them copies of live connection
         # fds, keeping sockets open past their close.  Submitting no-ops
         # forces the executor to actually spawn its processes.
-        pool = self._pool()
+        # The warm-up retries like a request; with no pool, there is
+        # nothing to warm.
         loop = asyncio.get_running_loop()
-        warmups = [
-            loop.run_in_executor(pool, int)
-            for _ in range(getattr(pool, "_max_workers", 1))
-        ]
-        await asyncio.gather(*warmups)
+        await self._pooled(
+            lambda pool: asyncio.gather(
+                *(
+                    loop.run_in_executor(pool, int)
+                    for _ in range(self._executor.workers)
+                )
+            ),
+            lambda: asyncio.sleep(0),
+        )
         self._server = await asyncio.start_server(
             self._handle_connection, self._host, self._port
         )
@@ -158,18 +182,74 @@ class ExchangeServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._own_pool is not None:
-            self._own_pool.shutdown(wait=False, cancel_futures=True)
-            self._own_pool = None
+        if self._owns_pool:
+            self._executor.close()
 
-    def _pool(self) -> ProcessPoolExecutor:
-        executor = self._service.engine.executor
-        if executor is not None:
-            return executor.ensure_pool()
-        if self._own_pool is None:
-            workers = self._service.options.workers or 2
-            self._own_pool = ProcessPoolExecutor(max_workers=workers)
-        return self._own_pool
+    # -- the worker pool -----------------------------------------------------
+
+    async def _pooled(
+        self,
+        run: Callable[[Any], Awaitable[Any]],
+        fallback: Callable[[], Awaitable[Any]],
+        deadline_at: float | None = None,
+    ) -> Any:
+        """``await run(pool)`` under the retry policy and circuit breaker.
+
+        A failed pool is reaped and respawned before each retry; the
+        backoff never sleeps past *deadline_at* (unix time).  When
+        retries run out or the breaker is open, ``await fallback()``
+        answers instead.
+        """
+        registry = get_registry()
+        breaker = self._service.breaker
+        retry = self._service.options.retry
+        if breaker.is_open:
+            registry.increment("exchange.breaker.short_circuits")
+            return await fallback()
+        attempts = 0
+        while True:
+            pool = None
+            try:
+                pool = self._executor.ensure_pool()
+                result = await run(pool)
+            except (BrokenProcessPool, OSError) as exc:
+                # Concurrent requests all see one broken pool fail;
+                # whoever reaps it counts the failure, once.
+                if pool is None or self._executor.discard_pool(pool):
+                    registry.increment("exchange.pool.failures")
+                    registry.increment(
+                        f"exchange.pool.failures.{type(exc).__name__}"
+                    )
+                    if breaker.record_failure():
+                        registry.increment("service.breaker_open")
+                attempts += 1
+                if attempts > retry.max_retries or breaker.is_open:
+                    registry.increment("service.inprocess_fallbacks")
+                    return await fallback()
+                registry.increment("service.retries")
+                delay = retry.delay(attempts, self._rng)
+                if deadline_at is not None:
+                    delay = max(0.0, min(delay, deadline_at - time.time()))
+                registry.observe("exchange.pool.retry_backoff_seconds", delay)
+                await asyncio.sleep(delay)
+            else:
+                breaker.record_success()
+                return result
+
+    async def _run_payload(self, payload: dict[str, Any]) -> dict[str, Any]:
+        """One payload's outcome: on the pool, in process as the last resort."""
+        loop = asyncio.get_running_loop()
+
+        def dispatch(pool):
+            fault_point("pool.map")
+            return loop.run_in_executor(pool, exchange_payload, payload)
+
+        def in_process():
+            return loop.run_in_executor(None, exchange_payload, payload)
+
+        return await self._pooled(
+            dispatch, in_process, deadline_at=payload.get("deadline_at")
+        )
 
     # -- connection handling -------------------------------------------------
 
@@ -330,28 +410,6 @@ class ExchangeServer:
         finally:
             self._service.gate.release(request.tenant, 1)
 
-    async def _outcomes(
-        self, session: StreamSession
-    ) -> AsyncIterator[tuple[int, dict[str, Any]]]:
-        """Run the session's payloads on the pool; yield in completion order."""
-        loop = asyncio.get_running_loop()
-        pool = self._pool()
-
-        async def tagged(index: int, payload: dict[str, Any]):
-            outcome = await loop.run_in_executor(pool, exchange_payload, payload)
-            return index, outcome
-
-        tasks = [
-            asyncio.ensure_future(tagged(i, p))
-            for i, p in enumerate(session.payloads)
-        ]
-        try:
-            for next_done in asyncio.as_completed(tasks):
-                yield await next_done
-        finally:
-            for task in tasks:
-                task.cancel()
-
     async def _stream_response(
         self,
         writer: asyncio.StreamWriter,
@@ -360,6 +418,9 @@ class ExchangeServer:
         started: float,
     ) -> None:
         get_registry().increment("service.streams")
+        # The outcome comes first: a failure still gets its own status
+        # line instead of text inside an already-open 200 body.
+        outcomes = [await self._run_payload(p) for p in session.payloads]
         writer.write(
             _response_head(
                 200,
@@ -378,8 +439,7 @@ class ExchangeServer:
             "sharded": session.sharded,
         }
         writer.write(_chunk(_ndjson(header)))
-        await writer.drain()
-        async for index, outcome in self._outcomes(session):
+        for index, outcome in enumerate(outcomes):
             for fact_chunk in session.chunks(index, outcome):
                 writer.write(_chunk(_ndjson(fact_chunk.as_dict())))
             # Drain per payload, not per chunk: backpressure without a
@@ -400,8 +460,8 @@ class ExchangeServer:
         session: StreamSession,
         started: float,
     ) -> None:
-        async for index, outcome in self._outcomes(session):
-            for _ in session.chunks(index, outcome):
+        for index, payload in enumerate(session.payloads):
+            for _ in session.chunks(index, await self._run_payload(payload)):
                 pass
         response = session.response(
             elapsed_seconds=time.perf_counter() - started

@@ -8,25 +8,27 @@ with:
 * **budgets** — every request gets a fresh
   :class:`~repro.budget.Budget` from the service's
   :class:`~repro.options.ExchangeOptions` (wall-clock ``deadline``,
-  ``max_facts``), checked cooperatively at chase-step and shard-merge
-  boundaries, plus the ``max_steps`` chase-step cap;
+  ``max_facts``), checked cooperatively at chase-step boundaries, plus
+  the ``max_steps`` chase-step cap;
 * **graceful degradation** — budget exhaustion (and step-cap
   non-termination) returns a :class:`PartialSolution` carrying the
   facts chased so far, the violated budget and a
   :class:`ResumptionToken`, instead of raising;
-* **retry + circuit breaker** — pool startup/worker crashes retry with
-  exponential backoff + jitter
-  (:class:`~repro.options.RetryPolicy`); repeated failures open a
-  :class:`~repro.exec.retry.CircuitBreaker` pinning the service to the
-  serial chase;
+* **retry + circuit breaker** — the service owns the
+  :class:`~repro.exec.retry.CircuitBreaker` and the
+  :class:`~repro.options.RetryPolicy` that guard the HTTP server's
+  worker pool (:mod:`repro.service.aserve`): pool startup/worker
+  crashes retry with exponential backoff + jitter, and repeated
+  failures open the breaker, pinning the server to the in-process
+  chase;
 * **admission control** — per-tenant weighted fair sharing
   (:class:`~repro.service.tenancy.FairShareGate`) with explicit
   :class:`ServiceOverloaded` rejection, applied whole-batch to
   :meth:`exchange_many`;
 * **streaming** — :meth:`stream` answers an :class:`ExchangeRequest`
   with a :class:`~repro.service.streaming.StreamingSolution` that
-  yields fact chunks as shards complete (the synchronous twin of the
-  HTTP layer in :mod:`repro.service.aserve`).
+  yields bounded fact chunks (the synchronous twin of the HTTP layer in
+  :mod:`repro.service.aserve`).
 
 The request/response vocabulary (:class:`ExchangeRequest`,
 :class:`ExchangeResponse`, the JSON-serializable
@@ -43,18 +45,17 @@ docs/ROBUSTNESS.md.
 from __future__ import annotations
 
 import time
-from concurrent.futures import as_completed
 from typing import Any, Iterable, Iterator, Mapping
 
 from ..budget import Budget, BudgetExceeded
 from ..compiler.engine import ExchangeEngine
 from ..compiler.hints import Hints
 from ..exec.cache import mapping_fingerprint
+from ..exec.parallel import exchange_in_process
 from ..exec.retry import CircuitBreaker
 from ..mapping.chase import (
     ChaseNonTermination,
     ChaseStatistics,
-    chase,
     chase_target_dependencies,
 )
 from ..mapping.sttgd import SchemaMapping
@@ -103,8 +104,11 @@ class ExchangeService:
     :mod:`repro.service.tenancy`).
 
     The service is thread-safe at the admission-control boundary; the
-    underlying chase runs one request per call.  Use it as a context
-    manager to guarantee worker-pool shutdown.
+    underlying chase runs one request per call, in process.  *breaker*
+    (default: a fresh :class:`~repro.exec.retry.CircuitBreaker`) and
+    ``options.retry`` guard the worker pool of an HTTP server over this
+    service.  Use it as a context manager to guarantee worker-pool
+    shutdown.
     """
 
     def __init__(
@@ -124,9 +128,7 @@ class ExchangeService:
         self._engine = ExchangeEngine.compile(
             mapping, statistics, hints, options=self._options
         )
-        if breaker is not None and self._engine.executor is not None:
-            # Share the caller's breaker with the executor's retry loop.
-            self._engine.executor._breaker = breaker
+        self._breaker = breaker if breaker is not None else CircuitBreaker()
         self._gate = FairShareGate(max_in_flight, quotas)
         self._mapping_fingerprint = mapping_fingerprint(mapping)
         self._closed = False
@@ -146,10 +148,9 @@ class ExchangeService:
         return self._options
 
     @property
-    def breaker(self) -> CircuitBreaker | None:
-        """The executor's pool circuit breaker (None without an executor)."""
-        executor = self._engine.executor
-        return executor.breaker if executor is not None else None
+    def breaker(self) -> CircuitBreaker:
+        """The circuit breaker guarding the server's worker pool."""
+        return self._breaker
 
     @property
     def gate(self) -> FairShareGate:
@@ -214,9 +215,8 @@ class ExchangeService:
 
         Returns a :class:`~repro.service.streaming.StreamingSolution`;
         iterate it for :class:`~repro.service.streaming.FactChunk`\\ s
-        (first chunks arrive while later shards still chase, when the
-        engine has a worker pool), then read ``.response`` for the final
-        status/token.  Admission happens here, up front; the slot is
+        (the payload runs in process), then read ``.response`` for the
+        final status/token.  Admission happens here, up front; the slot is
         held until the stream is drained or dropped.
         """
         opts = request.options if request.options is not None else self._options
@@ -250,18 +250,8 @@ class ExchangeService:
             ) as span:
                 registry.increment("service.requests")
                 registry.increment("service.streams")
-                executor = self._engine.executor
-                if session.sharded and executor is not None:
-                    pool = executor.ensure_pool()
-                    futures = {
-                        pool.submit(exchange_payload, payload): index
-                        for index, payload in enumerate(session.payloads)
-                    }
-                    for future in as_completed(futures):
-                        yield from session.chunks(futures[future], future.result())
-                else:
-                    for index, payload in enumerate(session.payloads):
-                        yield from session.chunks(index, exchange_payload(payload))
+                for index, payload in enumerate(session.payloads):
+                    yield from session.chunks(index, exchange_payload(payload))
                 span.set(target_facts=session.fact_count)
             response = session.response(
                 elapsed_seconds=time.perf_counter() - started
@@ -373,10 +363,9 @@ class ExchangeService:
     ) -> ProvenanceLog | None:
         """The lineage recorded before *exc* interrupted the request.
 
-        The chase attaches its store to the exception; the executor's
-        shard merge attaches the staged (relabeled) shard logs.  Either
-        wins over the request store, which a parallel path may not have
-        absorbed into yet.
+        The chase attaches its store to the exception, which wins over
+        the request store; a cached path may not have absorbed into the
+        request store yet.
         """
         attached = getattr(exc, "provenance", None)
         if attached is not None:
@@ -404,9 +393,9 @@ class ExchangeService:
         executor = self._engine.executor
         if executor is not None:
             return executor.exchange(source, budget, provenance)
-        return chase(
-            self.mapping, source, options=opts, budget=budget, provenance=provenance
-        ).solution
+        return exchange_in_process(
+            self.mapping, source, opts.max_steps, budget, provenance
+        )
 
     def _degrade(
         self,

@@ -1,17 +1,11 @@
-"""Incremental delivery of target facts: shard payloads out, chunks back.
+"""Incremental delivery of target facts: one payload out, chunks back.
 
 The batch service buffers a whole solution before the first byte reaches
-the client.  Streaming inverts that: :class:`StreamSession` plans one
-request as a set of independent worker payloads (one per source shard
-when the mapping parallelizes, one whole-exchange payload otherwise),
-:func:`exchange_payload` runs each payload inside a pool worker, and the
-session turns every finished payload into :class:`FactChunk`\\ s the
-moment it lands — so the first facts flow while later shards are still
-chasing.  Soundness is the executor's merge argument restated per chunk:
-shards are premise-disjoint, invented nulls are relabeled into disjoint
-namespaces as each shard unpacks, and ground duplicates are filtered
-against the facts already emitted, so the union of all chunks is the
-canonical universal solution up to null renaming.
+the client.  Streaming delivers it in pieces: :class:`StreamSession`
+plans one request as one worker payload, :func:`exchange_payload` runs
+it (in a pool worker or in process), and the session turns the outcome
+into :class:`FactChunk`\\ s, so the client decodes facts in bounded
+batches instead of one response body.
 
 Two front ends drive a session:
 
@@ -20,10 +14,9 @@ Two front ends drive a session:
 * :mod:`repro.service.aserve` — the asyncio HTTP layer, writing each
   chunk as one NDJSON line (docs/SERVICE.md "Streaming format").
 
-Budgeted or provenance-recording requests take the single-payload path:
-their interruption/lineage state lives in one worker, which still
-reports ``partial`` outcomes with a resumable
-:class:`~repro.service.api.ResumptionToken` built parent-side.
+Budgeted or provenance-recording requests report ``partial`` outcomes
+with a resumable :class:`~repro.service.api.ResumptionToken` built
+parent-side.
 """
 
 from __future__ import annotations
@@ -37,10 +30,9 @@ from ..mapping.chase import ChaseNonTermination, chase, chase_target_dependencie
 from ..mapping.sttgd import SchemaMapping
 from ..options import ExchangeOptions
 from ..provenance import ProvenanceLog, Solution
-from ..relational.columnar import pack_instance, unpack_instance, unpack_rows
+from ..relational.columnar import pack_instance, unpack_instance
 from ..relational.instance import Instance, Row
 from ..relational.serialization import value_from_json, value_to_json
-from ..relational.values import LabeledNull, NullFactory, max_null_label
 from .api import ExchangeRequest, ExchangeResponse, PartialSolution, ResumptionToken
 
 __all__ = [
@@ -53,17 +45,16 @@ __all__ = [
 
 DEFAULT_CHUNK_FACTS = 2048
 """Facts per NDJSON chunk: big enough to amortize a line's JSON overhead,
-small enough that the first chunk leaves before a large shard finishes
-encoding."""
+small enough that the first chunk leaves before a large solution
+finishes encoding."""
 
 
 @dataclass(frozen=True)
 class FactChunk:
     """One streamed batch of target facts.
 
-    ``shard`` is the source shard that produced the batch (``-1`` for
-    single-payload runs); ``facts`` are ``(relation, row)`` pairs already
-    relabeled into the request's global null namespace.
+    ``shard`` stays on the wire for compatibility and is always ``-1``
+    (requests are never split); ``facts`` are ``(relation, row)`` pairs.
     """
 
     shard: int
@@ -102,7 +93,7 @@ def exchange_payload(payload: dict[str, Any]) -> dict[str, Any]:
     Module-level so ``ProcessPoolExecutor`` can pickle it.  The payload
     carries the :class:`~repro.mapping.sttgd.SchemaMapping` itself
     (mappings pickle compactly, target dependencies included — unlike
-    ``to_text``), the source/shard as a flat column buffer, the options
+    ``to_text``), the source as a flat column buffer, the options
     as their wire dict, and — for continuations — the token's partial
     instance and lineage snapshot.  Deadlines travel as absolute unix
     time so pool queue wait counts against the budget.
@@ -118,22 +109,6 @@ def exchange_payload(payload: dict[str, Any]) -> dict[str, Any]:
     options = ExchangeOptions.from_dict(payload["options"])
     mode = payload["mode"]
     source = unpack_instance(payload["source"])
-
-    if mode == "shard":
-        # Shard payloads are planned only for unbudgeted, provenance-free
-        # requests; the chase needs nothing but the step cap.
-        solution = chase(
-            mapping, source, options=ExchangeOptions(max_steps=options.max_steps)
-        ).solution
-        return {
-            "status": "complete",
-            "solution": _pack(solution),
-            "violated": None,
-            "phase": None,
-            "provenance": None,
-            "seconds": time.perf_counter() - started,
-        }
-
     deadline_at = payload.get("deadline_at")
     budget = None
     if deadline_at is not None or options.max_facts is not None:
@@ -218,13 +193,12 @@ def _pack(instance: Instance) -> bytes:
 class StreamSession:
     """Parent-side state for one streaming exchange.
 
-    Construction plans the payloads (:attr:`payloads`); the driver runs
-    them — in-process, on a thread/process pool, however it likes — and
-    feeds each outcome back through :meth:`chunks`, which yields
-    relabeled, deduplicated :class:`FactChunk`\\ s.  After every payload
-    has been processed, :meth:`response` assembles the final
-    :class:`~repro.service.api.ExchangeResponse` (and
-    :meth:`summary_dict` the NDJSON trailer).
+    Construction plans the request's one payload (:attr:`payloads`); the
+    driver runs it — in-process, on a thread or process pool, however it
+    likes — and feeds the outcome back through :meth:`chunks`, which
+    yields :class:`FactChunk`\\ s.  Afterwards :meth:`response`
+    assembles the final :class:`~repro.service.api.ExchangeResponse`
+    (and :meth:`summary_dict` the NDJSON trailer).
     """
 
     def __init__(
@@ -240,131 +214,47 @@ class StreamSession:
             raise ValueError(f"chunk_facts must be >= 1, got {chunk_facts}")
         self._mapping = mapping
         self._request = request
-        self._options = options
         self._mapping_fingerprint = mapping_fingerprint
         self._chunk_facts = chunk_facts
         self._fact_count = 0
-        self._rows: dict[str, set[Row]] = {
-            name: set() for name in mapping.target.relation_names
-        }
-        # Serial-payload outcome (filled by chunks()):
+        # The outcome (filled by chunks()):
         self._status = "complete"
         self._violated: str | None = None
         self._phase: str | None = None
         self._provenance: ProvenanceLog | None = None
         self._result_instance: Instance | None = None
-        self.payloads: list[dict[str, Any]] = []
-        self._shard_maxima: list[int] = []
-        self._dedupe = False
-        self._factory: NullFactory | None = None
-        self._plan(request, options)
+        self.payloads: list[dict[str, Any]] = [self._payload(request, options)]
 
-    # -- planning ------------------------------------------------------------
-
-    def _plan(self, request: ExchangeRequest, options: ExchangeOptions) -> None:
-        source = request.source
-        options_wire = options.as_dict()
-        deadline_at = (
-            time.time() + options.deadline if options.deadline is not None else None
-        )
-        if request.token is not None and request.token.resumable_in_place:
-            self.payloads = [
-                {
-                    "mode": "resume",
-                    "mapping": self._mapping,
-                    "options": options_wire,
-                    "source": _pack(source),
-                    "partial": _pack(request.token.partial),
-                    "token_provenance": (
-                        request.token.provenance.to_json_text()
-                        if request.token.provenance is not None
-                        and options.wants_provenance
-                        else None
-                    ),
-                    "want_provenance": options.wants_provenance,
-                    "deadline_at": deadline_at,
-                }
-            ]
-            return
-        shards = self._plan_shards(source, options)
-        if shards is None:
-            self.payloads = [
-                {
-                    "mode": "full",
-                    "mapping": self._mapping,
-                    "options": options_wire,
-                    "source": _pack(source),
-                    "token_provenance": None,
-                    "want_provenance": options.wants_provenance,
-                    "deadline_at": deadline_at,
-                }
-            ]
-            return
-        from ..exec.parallel import _needs_merge_dedupe
-
-        self._dedupe = _needs_merge_dedupe(self._mapping)
-        store = source.columnar_store
-        if store is not None and store.canonical:
-            max_source_label = store.max_labeled_null()
-        else:
-            max_source_label = max_null_label(source.values())
-        self._factory = NullFactory()
-        self._factory.reserve_through(max_source_label)
-        for shard in shards:
-            shard_store = shard.columnar_store
-            if shard_store is not None:
-                self._shard_maxima.append(shard_store.max_labeled_null())
-            else:
-                self._shard_maxima.append(max_null_label(shard.values()))
-            self.payloads.append(
-                {
-                    "mode": "shard",
-                    "mapping": self._mapping,
-                    "options": options_wire,
-                    "source": _pack(shard),
-                    "token_provenance": None,
-                    "want_provenance": False,
-                    "deadline_at": None,
-                }
-            )
-
-    def _plan_shards(
-        self, source: Instance, options: ExchangeOptions
-    ) -> list[Instance] | None:
-        """Premise-disjoint shards, or ``None`` for the single-payload path.
-
-        Sharded streaming mirrors the executor's eligibility rules
-        (parallelizable mapping, >1 workers, source big enough) plus two
-        of its own: budgets and provenance keep their single-worker
-        seam, where interruption state is coherent.
-        """
-        if options.budgeted or options.wants_provenance:
-            return None
-        workers = options.workers or 1
-        if workers <= 1:
-            return None
-        from ..exec.parallel import _AUTO_MIN_PARALLEL_FACTS
-        from ..exec.partition import parallelizability, partition_source
-
-        if not parallelizability(self._mapping).parallelizable:
-            return None
-        min_facts = options.min_parallel_facts
-        if min_facts is None:
-            min_facts = _AUTO_MIN_PARALLEL_FACTS
-        if source.size() < min_facts:
-            return None
-        partitioning = partition_source(
-            self._mapping, source, workers, memo_key=self._mapping_fingerprint
-        )
-        if len(partitioning.shards) <= 1:
-            return None
-        return list(partitioning.shards)
+    def _payload(
+        self, request: ExchangeRequest, options: ExchangeOptions
+    ) -> dict[str, Any]:
+        token = request.token
+        resume = token is not None and token.resumable_in_place
+        payload = {
+            "mode": "resume" if resume else "full",
+            "mapping": self._mapping,
+            "options": options.as_dict(),
+            "source": _pack(request.source),
+            "token_provenance": None,
+            "want_provenance": options.wants_provenance,
+            "deadline_at": (
+                time.time() + options.deadline
+                if options.deadline is not None
+                else None
+            ),
+        }
+        if resume:
+            payload["partial"] = _pack(token.partial)
+            if token.provenance is not None and options.wants_provenance:
+                payload["token_provenance"] = token.provenance.to_json_text()
+        return payload
 
     # -- introspection -------------------------------------------------------
 
     @property
     def sharded(self) -> bool:
-        return len(self.payloads) > 1
+        """Always ``False``: a request runs as one payload (kept for the wire)."""
+        return False
 
     @property
     def fact_count(self) -> int:
@@ -373,24 +263,11 @@ class StreamSession:
     # -- chunk production ----------------------------------------------------
 
     def chunks(self, index: int, outcome: dict[str, Any]) -> Iterator[FactChunk]:
-        """Turn payload *index*'s outcome into relabeled fact chunks.
+        """Turn payload *index*'s outcome into fact chunks.
 
-        Callable from any payload-completion order; relabeling uses the
-        per-shard invented-null watermark, so interleaving is safe.  For
-        single-payload runs this also records the outcome (status,
-        violated budget, lineage) that :meth:`response` reports.
+        Also records the outcome (status, violated budget, lineage) that
+        :meth:`response` reports.
         """
-        if self.sharded:
-            shard_max = self._shard_maxima[index]
-            factory = self._factory
-            assert factory is not None
-
-            def relabel(null: LabeledNull) -> LabeledNull:
-                return factory.fresh() if null.label > shard_max else null
-
-            rows_by_rel = unpack_rows(outcome["solution"], null_relabel=relabel)
-            yield from self._emit(index, rows_by_rel)
-            return
         self._status = outcome["status"]
         self._violated = outcome["violated"]
         self._phase = outcome["phase"]
@@ -398,30 +275,17 @@ class StreamSession:
             self._provenance = ProvenanceLog.from_json_text(outcome["provenance"])
         instance = unpack_instance(outcome["solution"])
         self._result_instance = instance
-        yield from self._emit(
-            -1, {name: instance.rows(name) for name in instance.relation_names()}
-        )
-
-    def _emit(
-        self, shard: int, rows_by_rel: dict[str, Any]
-    ) -> Iterator[FactChunk]:
         batch: list[tuple[str, Row]] = []
-        track = self.sharded  # serial runs keep their decoded instance instead
-        for name, rows in rows_by_rel.items():
-            seen = self._rows.setdefault(name, set())
-            for row in rows:
-                if self._dedupe and row in seen:
-                    continue
-                if track:
-                    seen.add(row)
+        for name in instance.relation_names():
+            for row in instance.rows(name):
                 batch.append((name, row))
                 if len(batch) >= self._chunk_facts:
                     self._fact_count += len(batch)
-                    yield FactChunk(shard, tuple(batch))
+                    yield FactChunk(-1, tuple(batch))
                     batch = []
         if batch:
             self._fact_count += len(batch)
-            yield FactChunk(shard, tuple(batch))
+            yield FactChunk(-1, tuple(batch))
 
     # -- completion ----------------------------------------------------------
 
@@ -439,14 +303,10 @@ class StreamSession:
         )
 
     def response(self, *, elapsed_seconds: float = 0.0) -> ExchangeResponse:
-        """The final response once every payload's chunks were drained."""
-        if self.sharded or self._result_instance is None:
-            facts = Instance._unsafe(
-                self._mapping.target,
-                {name: frozenset(rows) for name, rows in self._rows.items()},
-            )
-        else:
-            facts = self._result_instance
+        """The final response once the payload's chunks were drained."""
+        facts = self._result_instance
+        if facts is None:
+            facts = Instance(self._mapping.target, [])
         result: Instance | Solution | PartialSolution = facts
         token = self._token()
         if token is not None:

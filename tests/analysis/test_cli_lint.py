@@ -118,10 +118,10 @@ class TestJsonOutput:
             run(["lint", "--schemas", schemas, "--mapping", mapping, "--json"]) == 0
         )
         payload = json.loads(capsys.readouterr().out)
-        # A full, dependency-free mapping is shard-parallelizable (RA501)
-        # and SQL-compilable (RA510) — informational findings only.
+        # A full, dependency-free mapping is SQL-compilable (RA510) — an
+        # informational finding only.
         codes = [d["code"] for d in payload["diagnostics"]]
-        assert codes == ["RA501", "RA510"]
+        assert codes == ["RA510"]
         assert all(d["severity"] == "info" for d in payload["diagnostics"])
         assert payload["summary"]["exit_code"] == 0
 

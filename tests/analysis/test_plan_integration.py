@@ -16,17 +16,16 @@ def test_explain_reports_diagnostics_for_existential_mapping():
     assert "RA002" in text  # existential quantifier noted
 
 
-def test_explain_reports_only_parallelism_info_for_full_lossless_mapping():
+def test_explain_reports_only_backend_info_for_full_lossless_mapping():
     source = schema(relation("Emp", "name"))
     target = schema(relation("Person", "name"))
     mapping = SchemaMapping.parse(source, target, "Emp(n) -> Person(n)")
     text = ExchangeEngine.compile(mapping).plan.explain()
     assert "── analyzer diagnostics:" in text
     # A full lossless mapping triggers nothing but the informational
-    # shard-parallelizability and SQL-compilability notes.
-    assert "RA501" in text
+    # SQL-compilability note.
     assert "RA510" in text
-    assert "0 error(s), 0 warning(s), 2 info(s)" in text
+    assert "0 error(s), 0 warning(s), 1 info(s)" in text
 
 
 def test_verbose_explain_also_carries_the_section():

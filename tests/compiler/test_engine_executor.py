@@ -38,7 +38,7 @@ class TestEngineKnobs:
     def test_workers_knob_routes_exchange_through_executor(self):
         engine = ExchangeEngine.compile(
             join_mapping(),
-            options=ExchangeOptions(workers=2, min_parallel_facts=0),
+            options=ExchangeOptions(workers=2),
         )
         try:
             source = clustered_source()

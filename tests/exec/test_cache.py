@@ -62,11 +62,10 @@ class TestInstanceFingerprint:
     def test_construction_path_does_not_leak_into_the_key(self):
         # The fingerprint hashes the canonical store's packed buffers, so
         # every way of building the same facts — bulk constructor,
-        # row-by-row builder, eager and lazy flat-buffer decode, the
-        # non-canonical row packer — must yield one cache key.
+        # row-by-row builder, eager and lazy flat-buffer decode — must
+        # yield one cache key.
         from repro.relational.columnar import (
             pack_instance,
-            pack_rows,
             unpack_instance,
             unpack_instance_lazy,
         )
@@ -80,14 +79,10 @@ class TestInstanceFingerprint:
                 builder.add_row(name, row)
         built = builder.build()
         buffer = pack_instance(bulk)
-        emitted = pack_rows(
-            SRC, {n: bulk.rows(n) for n in bulk.relation_names()}
-        )
         variants = [
             built,
             unpack_instance(buffer),
             unpack_instance_lazy(buffer),
-            unpack_instance(emitted),
         ]
         reference = bulk.fingerprint()
         assert all(v.fingerprint() == reference for v in variants)

@@ -1,11 +1,15 @@
-"""Tests for the shard-parallel exchange executor (repro.exec.parallel)."""
+"""Tests for the exchange executor (repro.exec.parallel)."""
+
+import importlib
 
 import pytest
 
+from repro import ExchangeOptions, ExchangeService, PartialSolution
 from repro.exec import ExchangeCache, ParallelExchange
 from repro.logic.parser import parse_conjunction
 from repro.logic.terms import Var
 from repro.mapping import SchemaMapping, universal_solution
+from repro.mapping.chase import chase
 from repro.mapping.dependencies import Egd
 from repro.relational import instance, relation, schema
 from repro.relational.canonical import canonically_equal
@@ -32,13 +36,31 @@ def clustered_source(employees=12, depts=4):
     )
 
 
+# the package re-exports the chase *function* under the same name, so the
+# module object needs an explicit import
+chase_mod = importlib.import_module("repro.mapping.chase")
+
+
 @pytest.fixture(scope="module")
 def pool_executor():
-    """One warm 2-worker executor shared by the module (pool startup is slow)."""
-    with ParallelExchange(
-        join_mapping(), workers=2, min_parallel_facts=0
-    ) as executor:
+    """One 2-worker executor shared by the module."""
+    with ParallelExchange(join_mapping(), workers=2) as executor:
         yield executor
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """Record whether the id-space fast path ran and produced a result."""
+    outcome = {}
+    original = chase_mod._chase_st_tgds_ids
+
+    def wrapper(mapping, source, factory, stats):
+        result = original(mapping, source, factory, stats)
+        outcome["engaged"] = result is not None
+        return result
+
+    monkeypatch.setattr(chase_mod, "_chase_st_tgds_ids", wrapper)
+    return outcome
 
 
 class TestParallelMatchesSerial:
@@ -82,7 +104,6 @@ class TestSerialFallbacks:
                   Var("h"), Var("h2"))
         mapping = join_mapping([egd])
         executor = ParallelExchange(mapping, workers=4)
-        assert not executor.parallelizable
         source = clustered_source(employees=6, depts=2)
         assert canonically_equal(
             executor.exchange(source), universal_solution(mapping, source)
@@ -98,67 +119,8 @@ class TestSerialFallbacks:
         )
         assert executor._pool is None
 
-    def test_min_parallel_facts_gates_sharding(self):
-        executor = ParallelExchange(
-            join_mapping(), workers=2, min_parallel_facts=10_000
-        )
-        source = clustered_source()
-        executor.exchange(source)
-        assert executor._pool is None
-
-    def test_auto_threshold_keeps_small_sources_serial(self):
-        # Default (min_parallel_facts unset) is the auto threshold: a
-        # small source never pays pool dispatch, and the result still
-        # matches the serial chase (it *is* the serial chase).
-        executor = ParallelExchange(join_mapping(), workers=2)
-        source = clustered_source()
-        result = executor.exchange(source)
-        assert executor._pool is None
-        assert canonically_equal(
-            result, universal_solution(join_mapping(), source)
-        )
-
-    def test_forced_dispatch_with_zero_threshold(self, pool_executor):
-        # The module fixture pins min_parallel_facts=0, so even tiny
-        # sources shard across the pool.
-        pool_executor.exchange(clustered_source())
-        assert pool_executor._pool is not None
-
     def test_default_workers_is_one(self):
         assert ParallelExchange(join_mapping()).workers == 1
-
-
-class TestWorkerShardCache:
-    """The per-worker decoded-shard LRU (repeated exchanges reuse stores)."""
-
-    def setup_method(self):
-        from repro.exec import parallel
-
-        parallel._WORKER_SHARDS.clear()
-
-    def test_same_buffer_decodes_once(self):
-        from repro.exec.parallel import _decode_shard
-        from repro.relational.columnar import pack_instance
-
-        buffer = pack_instance(clustered_source(employees=4, depts=2))
-        first = _decode_shard(buffer)
-        assert _decode_shard(buffer) is first
-        assert first.same_facts(clustered_source(employees=4, depts=2))
-
-    def test_cache_evicts_least_recent(self):
-        from repro.exec import parallel
-        from repro.relational.columnar import pack_instance
-
-        buffers = [
-            pack_instance(clustered_source(employees=n, depts=2))
-            for n in range(2, 4 + parallel._WORKER_SHARD_CACHE_CAP)
-        ]
-        decoded = [parallel._decode_shard(b) for b in buffers]
-        assert len(parallel._WORKER_SHARDS) == parallel._WORKER_SHARD_CACHE_CAP
-        # the oldest entry fell out: decoding it again builds a new object
-        assert parallel._decode_shard(buffers[0]) is not decoded[0]
-        # the newest is still cached
-        assert parallel._decode_shard(buffers[-1]) is decoded[-1]
 
 
 class TestCacheIntegration:
@@ -193,20 +155,74 @@ class TestCacheIntegration:
 
 
 class TestLifecycle:
-    def test_close_is_idempotent(self, pool_executor):
-        executor = ParallelExchange(
-            join_mapping(), workers=2, min_parallel_facts=0
-        )
-        executor.exchange(clustered_source())
+    def test_close_is_idempotent(self):
+        executor = ParallelExchange(join_mapping(), workers=2)
+        pool = executor.ensure_pool()
+        assert executor.ensure_pool() is pool
         executor.close()
         executor.close()
-        # exchanging again restarts the pool transparently
-        result = executor.exchange(clustered_source())
-        assert result.size() > 0
+        # asking again restarts the pool transparently
+        assert executor.ensure_pool() is not pool
         executor.close()
 
-    def test_report_property_names_blockers(self):
+    def test_discard_pool_only_reaps_the_current_pool(self):
+        executor = ParallelExchange(join_mapping(), workers=1)
+        stale = executor.ensure_pool()
+        assert executor.discard_pool(stale)
+        fresh = executor.ensure_pool()
+        assert not executor.discard_pool(stale)  # already replaced
+        assert executor.ensure_pool() is fresh
+        executor.close()
+
+
+class TestInProcessExchange:
+    """The exchange builds the source's column store exactly when the
+    id-space fast path will take the request."""
+
+    def test_plain_source_takes_the_id_path_with_serial_labels(self, spy):
+        source = clustered_source()
+        expected = chase(join_mapping(), clustered_source()).solution
+        assert spy.pop("engaged") is False  # chase() alone builds no store
+        with ExchangeService(join_mapping(), ExchangeOptions(workers=2)) as service:
+            result = service.exchange(source)
+        assert spy["engaged"] is True
+        assert source.columnar_store is not None
+        # same facts *and* the same fresh-null labels as the value path
+        assert result.same_facts(expected)
+
+    def test_no_executor_branch_takes_the_id_path(self, spy):
+        source = clustered_source()
+        with ExchangeService(join_mapping()) as service:
+            assert service.engine.executor is None
+            result = service.exchange(source)
+        assert spy["engaged"] is True
+        assert result.same_facts(chase(join_mapping(), clustered_source()).solution)
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ExchangeOptions(workers=2, max_facts=10_000),
+            ExchangeOptions(workers=2, deadline=60.0),
+            ExchangeOptions(workers=2, provenance=True),
+            ExchangeOptions(max_facts=10_000),
+            ExchangeOptions(provenance=True),
+        ],
+        ids=["max_facts", "deadline", "provenance", "no-executor-budget",
+             "no-executor-provenance"],
+    )
+    def test_budgeted_and_provenance_requests_build_no_store(self, spy, options):
+        source = clustered_source()
+        with ExchangeService(join_mapping(), options) as service:
+            result = service.exchange(source)
+        assert not isinstance(result, PartialSolution)
+        assert source.columnar_store is None
+        assert "engaged" not in spy
+
+    def test_target_dependencies_build_no_store(self, spy):
         egd = Egd(parse_conjunction("Office(n, h, m), Office(n, h2, m2)"),
                   Var("h"), Var("h2"))
-        executor = ParallelExchange(join_mapping([egd]), workers=2)
-        assert "egd" in executor.report.blockers[0].description
+        source = clustered_source()
+        with ExchangeService(join_mapping([egd]), ExchangeOptions(workers=2)) as service:
+            service.exchange(source)
+        assert source.columnar_store is None
+        assert "engaged" not in spy

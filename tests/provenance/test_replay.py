@@ -1,8 +1,8 @@
 """Replay verification: recorded lineage re-derives the solution.
 
 The acceptance property of the provenance subsystem: for every executor
-path — serial chase, shard-parallel workers, cache hit, budget-interrupted
-service resume — :func:`repro.provenance.replay` re-fires every recorded
+path — serial chase, the executor, cache hit, budget-interrupted service
+resume — :func:`repro.provenance.replay` re-fires every recorded
 rule on its recorded justifying facts and confirms each solution fact
 comes back, through every null relabeling and egd rewrite in between.
 """
@@ -94,12 +94,12 @@ class TestSerialReplay:
         assert report.rewrites_checked > 0
 
 
-class TestParallelReplay:
-    def test_sharded_exchange_replays_after_null_relabeling(self):
+class TestExecutorReplay:
+    def test_executor_exchange_replays(self):
         mapping = join_mapping()
         source = clustered_source(employees=16, depts=4)
         store = ProvenanceLog()
-        with ParallelExchange(mapping, workers=2, min_parallel_facts=0) as executor:
+        with ParallelExchange(mapping, workers=2) as executor:
             solution = executor.exchange(source, provenance=store)
         assert len(store) > 0
         assert_replay_ok(solution, store, mapping, source)
@@ -112,9 +112,7 @@ class TestCachedReplay:
     def test_cache_hit_returns_replayable_lineage(self):
         mapping = join_mapping()
         source = clustered_source()
-        with ParallelExchange(
-            mapping, workers=2, cache=4, min_parallel_facts=0
-        ) as executor:
+        with ParallelExchange(mapping, workers=2, cache=4) as executor:
             first_store = ProvenanceLog()
             first = executor.exchange(source, provenance=first_store)
             hit_store = ProvenanceLog()
@@ -126,9 +124,7 @@ class TestCachedReplay:
     def test_provenance_less_entry_upgrades_on_demand(self):
         mapping = join_mapping()
         source = clustered_source()
-        with ParallelExchange(
-            mapping, workers=2, cache=4, min_parallel_facts=0
-        ) as executor:
+        with ParallelExchange(mapping, workers=2, cache=4) as executor:
             executor.exchange(source)  # cached without provenance
             store = ProvenanceLog()
             solution = executor.exchange(source, provenance=store)
@@ -194,6 +190,6 @@ class TestDisabledMode:
         source = clustered_source(employees=4, depts=2)
         result = chase(mapping, source)  # provenance off
         assert not result.provenance.enabled
-        with ParallelExchange(mapping, workers=2, min_parallel_facts=0) as executor:
+        with ParallelExchange(mapping, workers=2) as executor:
             solution = executor.exchange(source)
         assert solution.size() == result.solution.size()

@@ -1,8 +1,8 @@
 """The columnar storage engine and its flat-buffer codec.
 
 Covers :class:`~repro.relational.columnar.ColumnStore` construction,
-slicing, packing, the eager and lazy unpack paths, and the structural
-validation every buffer goes through on decode.
+packing, the eager and lazy unpack paths, and the structural validation
+every buffer goes through on decode.
 """
 
 import pytest
@@ -12,12 +12,9 @@ from repro.relational import instance, relation, schema
 from repro.relational.columnar import (
     ColumnarFormatError,
     ColumnStore,
-    merge_result_buffers,
     pack_instance,
-    pack_rows,
     unpack_instance,
     unpack_instance_lazy,
-    unpack_rows,
     width_code,
 )
 from repro.relational.instance import Instance
@@ -30,6 +27,25 @@ from repro.relational.values import (
 
 
 S = schema(relation("R", "a", "b"), relation("S", "a"))
+
+
+def corrupt(buffer: bytes, **header_edits) -> bytes:
+    """Re-assemble *buffer* with JSON header fields swapped out."""
+    import json
+    import struct
+
+    magic_len = 6
+    (header_len,) = struct.unpack_from("<I", buffer, magic_len)
+    start = magic_len + 4
+    header = json.loads(buffer[start : start + header_len])
+    header.update(header_edits)
+    new_header = json.dumps(header, separators=(",", ":")).encode()
+    return (
+        buffer[:magic_len]
+        + struct.pack("<I", len(new_header))
+        + new_header
+        + buffer[start + header_len :]
+    )
 
 
 def mixed_instance():
@@ -108,34 +124,6 @@ class TestBuild:
         assert width_code((1 << 32) + 1) == "Q"
 
 
-class TestSlice:
-    def test_slice_keeps_selected_rows(self):
-        inst = instance(S, {"R": [["a", "b"], ["c", "d"], ["e", "f"]]})
-        store = inst.columnar()
-        sliced = store.slice({"R": [0, 2]})
-        assert sliced.counts["R"] == 2
-        assert sliced.counts["S"] == 0
-        assert set(sliced.rows["R"]) == {
-            store.rows["R"][0],
-            store.rows["R"][2],
-        }
-
-    def test_slice_shares_table_and_is_not_canonical(self):
-        store = mixed_instance().columnar()
-        sliced = store.slice({"S": [0]})
-        assert sliced.values is store.values
-        assert not sliced.canonical
-
-    def test_sliced_pack_compacts_the_table(self):
-        inst = instance(S, {"R": [["a", "b"], ["c", "d"]]})
-        store = inst.columnar()
-        sliced = store.slice({"R": [0]})
-        decoded = unpack_instance(sliced.pack())
-        assert decoded.rows("R") == frozenset({(constant("a"), constant("b"))})
-        # the shipped table holds only the used values, not the parent's
-        assert decoded.columnar_store.table_size() == 2
-
-
 class TestPackUnpack:
     def test_round_trip_same_facts(self):
         inst = mixed_instance()
@@ -145,27 +133,6 @@ class TestPackUnpack:
     def test_canonical_buffer_decodes_canonical(self):
         buffer = pack_instance(mixed_instance())
         assert unpack_instance(buffer).columnar_store.canonical
-
-    def test_relabel_hook_renames_nulls_and_drops_canon(self):
-        inst = instance(S, {"S": [[LabeledNull(0)], ["z"]]})
-        decoded = unpack_instance(
-            pack_instance(inst), null_relabel=lambda n: LabeledNull(n.label + 10)
-        )
-        assert LabeledNull(10) in decoded.nulls()
-        assert not decoded.columnar_store.canonical
-
-    def test_pack_rows_round_trips_noncanonically(self):
-        inst = mixed_instance()
-        buffer = pack_rows(S, {n: inst.rows(n) for n in inst.relation_names()})
-        decoded = unpack_instance(buffer)
-        assert decoded.same_facts(inst)
-        assert not decoded.columnar_store.canonical
-
-    def test_unpack_rows_returns_bare_lists(self):
-        inst = mixed_instance()
-        rows = unpack_rows(pack_instance(inst))
-        assert set(rows["R"]) == set(inst.rows("R"))
-        assert set(rows["S"]) == set(inst.rows("S"))
 
     def test_skolem_values_survive(self):
         sk = SkolemValue("f", (constant("x"),))
@@ -193,13 +160,12 @@ class TestLazyUnpack:
     def test_canon_header_carries_over(self):
         canonical = pack_instance(mixed_instance())
         assert unpack_instance_lazy(canonical).columnar_store.canonical
-        inst = mixed_instance()
-        emitted = pack_rows(S, {n: inst.rows(n) for n in inst.relation_names()})
+        emitted = corrupt(canonical, canon=False)
         assert not unpack_instance_lazy(emitted).columnar_store.canonical
 
     def test_deferred_repack_round_trips(self):
-        # a lazily decoded shard that is packed again without ever
-        # materializing values (the worker's ship-home path)
+        # a lazily decoded instance that is packed again without ever
+        # materializing values
         inst = mixed_instance()
         lazy = unpack_instance_lazy(pack_instance(inst))
         again = unpack_instance(lazy.columnar_store.pack())
@@ -218,7 +184,10 @@ class TestLazyUnpack:
         assert store.max_labeled_null() == -1
 
     def test_missing_relations_decode_empty(self):
-        buffer = pack_rows(S, {"S": [(constant("z"),)]})
+        # R is empty, so dropping it from the header leaves no columns behind
+        buffer = corrupt(
+            pack_instance(instance(S, {"S": [["z"]]})), rels=[["S", 1, 1]]
+        )
         lazy = unpack_instance_lazy(buffer)
         assert lazy.rows("R") == frozenset()
         assert lazy.rows("S") == frozenset({(constant("z"),)})
@@ -232,30 +201,12 @@ class TestLazyUnpack:
 
 
 class TestValidation:
-    def corrupt(self, buffer: bytes, **header_edits) -> bytes:
-        """Re-assemble *buffer* with JSON header fields swapped out."""
-        import json
-        import struct
-
-        magic_len = 6
-        (header_len,) = struct.unpack_from("<I", buffer, magic_len)
-        start = magic_len + 4
-        header = json.loads(buffer[start : start + header_len])
-        header.update(header_edits)
-        new_header = json.dumps(header, separators=(",", ":")).encode()
-        return (
-            buffer[:magic_len]
-            + struct.pack("<I", len(new_header))
-            + new_header
-            + buffer[start + header_len :]
-        )
-
     def test_bad_magic(self):
         with pytest.raises(ColumnarFormatError, match="magic"):
             unpack_instance(b"NOPE" + b"\x00" * 32)
 
     def test_bad_version(self):
-        buffer = self.corrupt(pack_instance(mixed_instance()), v=99)
+        buffer = corrupt(pack_instance(mixed_instance()), v=99)
         with pytest.raises(ColumnarFormatError, match="version"):
             unpack_instance_lazy(buffer)
 
@@ -265,35 +216,29 @@ class TestValidation:
             unpack_instance_lazy(buffer[:-3])
 
     def test_unknown_relation(self):
-        buffer = pack_rows(
-            schema(relation("T", "a")), {"T": [(constant("v"),)]}
-        )
+        buffer = pack_instance(instance(schema(relation("T", "a")), {"T": [["v"]]}))
         with pytest.raises(ColumnarFormatError, match="unknown relation"):
             # decode against a schema that has no T
             unpack_instance_lazy(
-                self.corrupt(
+                corrupt(
                     buffer,
                     schema=_schema_json(schema(relation("U", "a"))),
                 )
             )
 
     def test_arity_mismatch(self):
-        buffer = pack_rows(
-            schema(relation("R", "a")), {"R": [(constant("v"),)]}
-        )
+        buffer = pack_instance(instance(schema(relation("R", "a")), {"R": [["v"]]}))
         with pytest.raises(ColumnarFormatError, match="arity mismatch"):
             unpack_instance_lazy(
-                self.corrupt(
+                corrupt(
                     buffer, schema=_schema_json(schema(relation("R", "a", "b")))
                 )
             )
 
     def test_id_out_of_table_bounds(self):
-        buffer = pack_rows(
-            schema(relation("R", "a")), {"R": [(constant("v"),)]}
-        )
+        buffer = pack_instance(instance(schema(relation("R", "a")), {"R": [["v"]]}))
         # claim an empty value table; the column id 0 now dangles
-        bad = self.corrupt(buffer, consts=0)
+        bad = corrupt(buffer, consts=0)
         with pytest.raises(ColumnarFormatError):
             unpack_instance_lazy(bad)
 
@@ -302,22 +247,3 @@ def _schema_json(s):
     from repro.relational.serialization import schema_to_json
 
     return schema_to_json(s)
-
-
-class TestMergeResultBuffers:
-    def test_merges_disjoint_shard_solutions(self):
-        t = schema(relation("O", "n", "m"))
-        a = Instance(t, {"O": {(constant("a"), LabeledNull(0))}})
-        b = Instance(t, {"O": {(constant("b"), LabeledNull(0))}})
-        store = merge_result_buffers(
-            t,
-            [pack_instance(a), pack_instance(b)],
-            shard_maxima=[-1, -1],
-            first_fresh_label=0,
-            dedupe=True,
-        )
-        rows = Instance._from_store(t, store).rows("O")
-        assert len(rows) == 2
-        # the two shard-local 0-nulls must not collide after the merge
-        nulls = {v for row in rows for v in row if type(v) is LabeledNull}
-        assert len(nulls) == 2

@@ -6,11 +6,22 @@ as 429s, and fair-share under an overloaded tenant.
 """
 
 import asyncio
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
 from repro import ExchangeOptions, ExchangeService, TenantQuota
+from repro.logic.parser import parse_conjunction
+from repro.logic.terms import Var
 from repro.mapping import SchemaMapping
+from repro.mapping.dependencies import Egd
+from repro.obs import collecting
 from repro.relational import instance, relation, schema
 from repro.relational.canonical import canonically_equal
 from repro.relational.serialization import instance_from_json, instance_to_json
@@ -141,6 +152,130 @@ class TestExchangeOverHttp:
         with ExchangeService(simple_mapping()) as service:
             err = run(with_server(service, go))
         assert err.status == 400
+
+
+class TestErrorsOverHttp:
+    """Failures get a real status line, streamed or buffered."""
+
+    @staticmethod
+    def unsatisfiable():
+        source = schema(relation("Boss", "n", "b"))
+        target = schema(relation("Manager", "emp", "mgr"))
+        key = Egd(
+            parse_conjunction("Manager(x, y), Manager(x, z)"), Var("y"), Var("z")
+        )
+        mapping = SchemaMapping.parse(
+            source, target, "Boss(x, b) -> Manager(x, b)", [key]
+        )
+        body = instance(source, {"Boss": [["ann", "mona"], ["ann", "rita"]]})
+        return mapping, instance_to_json(body)
+
+    @pytest.mark.parametrize("stream", [True, False])
+    def test_unsatisfiable_mapping_is_422(self, stream):
+        mapping, source_json = self.unsatisfiable()
+
+        async def go(client):
+            with pytest.raises(ExchangeClientError) as exc:
+                await client.exchange({"source": source_json, "stream": stream})
+            return exc.value
+
+        with ExchangeService(mapping) as service:
+            err = run(with_server(service, go))
+            assert service.in_flight == 0
+        assert err.status == 422
+        assert err.body["kind"] == "unsatisfiable"
+
+
+class TestPoolRecovery:
+    def test_killed_worker_does_not_break_later_requests(self):
+        source = simple_source(6)
+        body = {"source": instance_to_json(source)}
+
+        async def go(client):
+            await client.exchange({**body, "stream": False})
+            # The server dispatches to the executor's pool (workers=2).
+            pool = service.engine.executor.ensure_pool()
+            os.kill(next(iter(pool._processes)), signal.SIGKILL)
+            await asyncio.sleep(0.2)
+            buffered = await client.exchange({**body, "stream": False})
+            streamed = await client.exchange({**body, "stream": True})
+            return buffered, streamed
+
+        options = ExchangeOptions(workers=2)
+        with collecting() as registry:
+            with ExchangeService(simple_mapping(), options) as service:
+                buffered, streamed = run(with_server(service, go))
+                expected = service.exchange(source)
+        assert buffered[0]["status"] == "complete"
+        assert canonically_equal(instance_from_json(buffered[0]["facts"]), expected)
+        assert streamed[0]["kind"] == "header"
+        assert streamed[-1]["status"] == "complete"
+        assert streamed[-1]["fact_count"] == expected.size()
+        counters = registry.snapshot()["counters"]
+        assert counters["exchange.pool.failures.BrokenProcessPool"] == 1
+        assert counters["service.retries"] == 1
+
+
+def _children(pid):
+    """Pids whose parent is *pid*, from /proc."""
+    out = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            try:
+                stat = (entry / "stat").read_text()
+            except OSError:
+                continue
+            if int(stat.rsplit(")", 1)[1].split()[1]) == pid:
+                out.append(int(entry.name))
+    return out
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+class TestServeProcess:
+    def test_killed_worker_keeps_the_server_up(self):
+        # `repro serve` wires SIGTERM into its event loop; a killed
+        # worker makes the pool SIGTERM its siblings, which must neither
+        # be ignored by them nor reach the server's loop.
+        example = Path(__file__).resolve().parents[2] / "examples" / "quickstart"
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--schemas", str(example / "schemas.json"),
+                "--mapping", str(example / "mapping.tgd"),
+                "--port", "0", "--workers", "2",
+            ],
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        try:
+            line = proc.stdout.readline()
+            assert "listening on" in line, line
+            port = int(line.rsplit(":", 1)[1])
+            body = {"source": json.loads((example / "source.json").read_text())}
+
+            async def go():
+                client = ExchangeClient("127.0.0.1", port)
+                await client.exchange({**body, "stream": False})
+                os.kill(_children(proc.pid)[0], signal.SIGKILL)
+                await asyncio.sleep(0.5)
+                buffered = await client.exchange({**body, "stream": False})
+                streamed = await client.exchange({**body, "stream": True})
+                return buffered, streamed
+
+            buffered, streamed = run(go())
+            assert buffered[0]["status"] == "complete"
+            assert streamed[-1]["status"] == "complete"
+            assert proc.poll() is None  # still serving
+        finally:
+            proc.terminate()
+            deadline = time.monotonic() + 20
+            while proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.05)
+            if proc.poll() is None:
+                proc.kill()
+            proc.wait()
+            proc.stdout.close()
+        assert proc.returncode == 0
 
 
 class TestPaginationOverHttp:

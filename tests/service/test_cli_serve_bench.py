@@ -69,6 +69,22 @@ class TestBudgetFlags:
         assert out.err == ""
 
 
+class TestWorkersFlag:
+    @pytest.mark.parametrize("command", ["exchange", "chase", "profile", "plan"])
+    def test_commands_without_a_pool_reject_workers(self, files, capsys, command):
+        # --workers sizes the server's pool; elsewhere it would be dropped.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                command,
+                "--schemas", files["schemas"],
+                "--mapping", files["mapping"],
+                "--data", files["data"],
+                "--workers", "2",
+            ])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+
 class TestServeBench:
     def test_clean_run_reports_all_completed(self, files, capsys):
         code, out = run(
@@ -94,17 +110,36 @@ class TestServeBench:
             "--schemas", files["schemas"],
             "--mapping", files["mapping"],
             "--requests", "3",
+            "--concurrency", "2",
             "--workers", "2",
-            "--min-parallel-facts", "0",
             "--inject-pool-crashes", "2",
             "--json",
         )
         assert code == 0
         report = json.loads(out.out)
+        assert report["mode"] == "http"
         assert report["completed"] == 3
+        assert report["errors"] == 0
         assert report["retries"] == 2
         assert report["pool_failures"] == 2
+        assert report["breaker_opens"] == 0
         assert report["clean_shutdown"] is True
+
+    @pytest.mark.parametrize(
+        "flag", ["--workers", "--inject-pool-crashes", "--inject-spawn-failures"]
+    )
+    def test_pool_flags_need_http_mode(self, files, capsys, flag):
+        # Only the HTTP mode runs a worker pool: without --concurrency
+        # these flags would be silent no-ops, so they are errors.
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "serve-bench",
+                "--schemas", files["schemas"],
+                "--mapping", files["mapping"],
+                flag, "2",
+            ])
+        assert exc.value.code == 2
+        assert "need --concurrency" in capsys.readouterr().err
 
     def test_deadline_degradation_is_reported(self, files, capsys):
         code, out = run(

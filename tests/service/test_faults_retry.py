@@ -1,4 +1,12 @@
-"""Fault-injection tests: retries, circuit breaker, degraded-but-correct."""
+"""Fault-injection tests: retries, circuit breaker, degraded-but-correct.
+
+Retry and the breaker guard the HTTP server's worker pool, so those
+tests drive a real :class:`~repro.service.aserve.ExchangeServer` with a
+fault plan installed before it starts: ``pool.spawn`` faults hit the
+start-up warm-up, ``pool.map`` faults hit request dispatch.
+"""
+
+import asyncio
 
 import pytest
 
@@ -8,6 +16,8 @@ from repro.mapping import SchemaMapping, universal_solution
 from repro.obs import collecting
 from repro.relational import instance, relation, schema
 from repro.relational.canonical import canonically_equal
+from repro.relational.serialization import instance_from_json, instance_to_json
+from repro.service.aserve import ExchangeClient, ExchangeServer
 from repro.service.faults import FaultPlan, fault_injection
 
 
@@ -38,85 +48,96 @@ def fast_retry(**overrides):
     return RetryPolicy(**defaults)
 
 
+def serve(plan, options, source, requests=1, breaker=None, between=None):
+    """Buffered HTTP exchanges of *source* under *plan*; (results, counters).
+
+    *between* runs after each request with the service, so a test can
+    watch the breaker's state move.
+    """
+    body = {"source": instance_to_json(source), "stream": False}
+
+    async def drive(service):
+        server = ExchangeServer(service, host="127.0.0.1", port=0)
+        await server.start()
+        try:
+            client = ExchangeClient("127.0.0.1", server.port)
+            results = []
+            for index in range(requests):
+                reply = await client.exchange(body)
+                results.append(instance_from_json(reply[0]["facts"]))
+                if between is not None:
+                    between(index, service)
+            return results
+        finally:
+            await server.aclose()
+
+    with collecting() as registry, fault_injection(plan):
+        with ExchangeService(join_mapping(), options, breaker=breaker) as service:
+            results = asyncio.run(drive(service))
+    return results, registry.snapshot()["counters"]
+
+
 class TestRetry:
     def test_two_pool_crashes_then_success_matches_serial_chase(self):
         source = clustered_source()
-        options = ExchangeOptions(workers=2, retry=fast_retry(), min_parallel_facts=0)
-        with collecting() as registry:
-            with fault_injection(FaultPlan.pool_crashes(2)):
-                with ExchangeService(join_mapping(), options) as service:
-                    result = service.exchange(source)
+        options = ExchangeOptions(workers=2, retry=fast_retry())
+        (result,), counters = serve(FaultPlan.pool_crashes(2), options, source)
         assert not isinstance(result, PartialSolution)
         expected = universal_solution(join_mapping(), source)
         assert canonically_equal(result, expected)
-        counters = registry.snapshot()["counters"]
         assert counters["service.retries"] == 2
         assert counters["exchange.pool.failures"] == 2
         assert counters["exchange.pool.failures.BrokenProcessPool"] == 2
+        assert "service.inprocess_fallbacks" not in counters
 
     def test_spawn_failures_retry_then_succeed(self):
         source = clustered_source()
-        options = ExchangeOptions(workers=2, retry=fast_retry(), min_parallel_facts=0)
-        with collecting() as registry:
-            with fault_injection(FaultPlan.pool_spawn_failures(2)):
-                with ExchangeService(join_mapping(), options) as service:
-                    result = service.exchange(source)
+        options = ExchangeOptions(workers=2, retry=fast_retry())
+        (result,), counters = serve(
+            FaultPlan.pool_spawn_failures(2), options, source
+        )
         assert canonically_equal(result, universal_solution(join_mapping(), source))
-        counters = registry.snapshot()["counters"]
         assert counters["service.retries"] == 2
         assert counters["exchange.pool.failures.OSError"] == 2
 
     def test_retries_exhausted_falls_back_to_serial(self):
         source = clustered_source()
-        options = ExchangeOptions(
-            workers=2, retry=fast_retry(max_retries=1), min_parallel_facts=0
-        )
-        with collecting() as registry:
-            with fault_injection(FaultPlan.pool_crashes(10)):
-                with ExchangeService(join_mapping(), options) as service:
-                    result = service.exchange(source)
+        options = ExchangeOptions(workers=2, retry=fast_retry(max_retries=1))
+        (result,), counters = serve(FaultPlan.pool_crashes(10), options, source)
         assert canonically_equal(result, universal_solution(join_mapping(), source))
-        counters = registry.snapshot()["counters"]
-        assert counters["service.retries"] == 1  # one retry, then serial
-        assert counters["exchange.serial_runs"] >= 1
+        assert counters["service.retries"] == 1  # one retry, then in process
+        assert counters["service.inprocess_fallbacks"] == 1
 
     def test_zero_retries_restores_one_shot_fallback(self):
         source = clustered_source()
-        options = ExchangeOptions(
-            workers=2, retry=fast_retry(max_retries=0), min_parallel_facts=0
-        )
-        with collecting() as registry:
-            with fault_injection(FaultPlan.pool_crashes(1)):
-                with ExchangeService(join_mapping(), options) as service:
-                    result = service.exchange(source)
+        options = ExchangeOptions(workers=2, retry=fast_retry(max_retries=0))
+        (result,), counters = serve(FaultPlan.pool_crashes(1), options, source)
         assert canonically_equal(result, universal_solution(join_mapping(), source))
-        counters = registry.snapshot()["counters"]
         assert "service.retries" not in counters
-        assert counters["exchange.serial_runs"] >= 1
+        assert counters["service.inprocess_fallbacks"] == 1
 
 
 class TestBreaker:
     def test_breaker_opens_and_pins_serial(self):
         source = clustered_source(employees=6, depts=2)
         breaker = CircuitBreaker(failure_threshold=2, reset_after=3600.0)
-        options = ExchangeOptions(
-            workers=2, retry=fast_retry(max_retries=0), min_parallel_facts=0
+        options = ExchangeOptions(workers=2, retry=fast_retry(max_retries=0))
+        # max_retries=0: each request records one pool failure.
+        states = []
+        results, counters = serve(
+            FaultPlan.pool_crashes(10),
+            options,
+            source,
+            requests=3,
+            breaker=breaker,
+            between=lambda index, service: states.append(service.breaker.is_open),
         )
-        with collecting() as registry:
-            with fault_injection(FaultPlan.pool_crashes(10)):
-                with ExchangeService(
-                    join_mapping(), options, breaker=breaker
-                ) as service:
-                    # max_retries=0: each request records one pool failure.
-                    first = service.exchange(source)
-                    assert not breaker.is_open
-                    second = service.exchange(source)
-                    assert breaker.is_open  # 2 consecutive failures tripped it
-                    third = service.exchange(source)  # short-circuits to serial
+        # the second consecutive failure tripped it; the third request
+        # short-circuits to the in-process chase
+        assert states == [False, True, True]
         expected = universal_solution(join_mapping(), source)
-        for result in (first, second, third):
+        for result in results:
             assert canonically_equal(result, expected)
-        counters = registry.snapshot()["counters"]
         assert counters["service.breaker_open"] == 1
         assert counters["exchange.breaker.short_circuits"] >= 1
         # An open breaker stops pool attempts: fewer failures than faults.

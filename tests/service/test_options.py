@@ -98,17 +98,28 @@ class TestWireFormat:
 
     def test_round_trip_everything_set(self):
         opts = ExchangeOptions(
-            workers=2,
             cache=16,
             max_steps=50,
             deadline=1.5,
             max_facts=100,
             backend="sqlite",
             provenance=True,
-            min_parallel_facts=0,
         )
         clone = ExchangeOptions.from_dict(opts.as_dict())
         assert clone == opts
+
+    def test_workers_stays_server_side(self):
+        # workers sizes the server's pool: not a request knob, so the
+        # wire neither carries nor accepts it.
+        assert "workers" not in ExchangeOptions(workers=2).as_dict()
+        with pytest.raises(ValueError, match="unknown option keys"):
+            ExchangeOptions.from_dict({"workers": 2})
+
+    def test_min_parallel_facts_is_gone(self):
+        with pytest.raises(TypeError):
+            ExchangeOptions(min_parallel_facts=0)
+        with pytest.raises(ValueError, match="unknown option keys"):
+            ExchangeOptions.from_dict({"min_parallel_facts": 0})
 
     def test_live_cache_serializes_as_capacity(self):
         from repro.exec.cache import ExchangeCache

@@ -77,15 +77,16 @@ class TestStreamingSolution:
         assert resp.status == "partial"
         assert resp.token is not None
 
-    def test_sharded_stream_parallel_workers(self):
-        options = ExchangeOptions(workers=2, min_parallel_facts=0)
+    def test_stream_with_pool_options_is_one_unsplit_payload(self):
+        options = ExchangeOptions(workers=2)
         source = simple_source(40)
         with ExchangeService(simple_mapping(), options) as service:
             stream = service.stream(ExchangeRequest(source=source))
             chunks = list(stream)
             assert stream.response.complete
-            # More than one shard actually streamed.
-            assert len({c.shard for c in chunks}) > 1
+            # workers sizes the server pool; a request is never split.
+            assert {c.shard for c in chunks} == {-1}
+            assert service.engine.executor._pool is None
             expected = service.exchange(source)
         assert canonically_equal(stream.response.facts, expected)
 

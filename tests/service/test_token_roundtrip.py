@@ -181,10 +181,10 @@ class TestResumeFromJson:
         for fact in resumed.instance.facts():
             assert resumed.explain(fact) is not None
 
-    def test_resume_after_parallel_shard_run(self):
+    def test_resume_after_run_with_pool_options(self):
         """Tokens issued under workers>1 options resume identically."""
         mapping, source = fk_mapping(), fk_source()
-        options = ExchangeOptions(max_facts=45, workers=2, min_parallel_facts=0)
+        options = ExchangeOptions(max_facts=45, workers=2)
         with ExchangeService(mapping, options) as service:
             result = service.exchange(source)
         assert isinstance(result, PartialSolution)
