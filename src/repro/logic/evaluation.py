@@ -39,6 +39,9 @@ given delta.
 from __future__ import annotations
 
 import os
+from array import array
+from itertools import chain, compress, repeat
+from operator import eq
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from ..obs import get_registry
@@ -273,98 +276,161 @@ def _id_join_eligible(instance: Instance, atoms: Sequence[Atom]) -> bool:
     )
 
 
-def _evaluate_id_bindings(
-    instance: Instance,
+# Driving-atom rows per batch on :func:`evaluate`'s id path: a caller that
+# stops after its first binding (``satisfiable``) pays for one chunk of the
+# join, not the whole of it.
+_ID_CHUNK = 1024
+
+_IdBatch = tuple[dict[Var, array], int]
+
+
+def _id_join_specs(
+    store,
     atoms: Sequence[Atom],
     order: Sequence[int],
     probes: Sequence[tuple[int, ...]],
-    counters: dict[str, int],
-) -> Iterator[dict[Var, int]]:
-    """The id-space join core: yield variable → id bindings.
+) -> list[tuple] | None:
+    """Per planned atom, what the batch join needs; ``None`` if unsatisfiable.
 
-    Probes and scans entirely over the attached column store's integer
-    ids — hash-index keys are int tuples, equality checks are int
-    comparisons, and unbound variables bind by reading a column array
-    cell.  No :class:`Value` is ever built here; callers that need value
-    bindings materialize them per *result* binding
-    (:func:`_evaluate_ids`), and the chase's id-space fast path consumes
-    the raw id bindings directly.
+    Each spec is ``(relation, columns, key, firsts, dup_checks)``:
+    *columns* are the probed positions and *key* their probe-key parts
+    (a constant id, or the bound :class:`Var` whose column supplies the
+    key); *firsts* are ``(position, var)`` pairs binding a fresh variable
+    and *dup_checks* ``(position, first_position)`` pairs of a variable
+    repeated within the atom.  A constant absent from the store matches
+    no row, so the conjunction is unsatisfiable.
     """
-    store = instance.columnar_store
-    planned = [atoms[i] for i in order]
-    # Per planned atom: constant ids for Const positions (an absent
-    # constant can match no row — the conjunction is unsatisfiable), the
-    # positions binding a fresh variable, and within-atom duplicate
-    # positions needing an id equality check.  Probed columns (constants
-    # and already-bound variables) are guaranteed by the index key and
-    # are skipped in the inner loop.
     specs = []
-    for atom, columns in zip(planned, probes):
-        const_ids: dict[int, int] = {}
-        firsts: list[tuple[int, Var]] = []
-        dup_checks: list[tuple[int, int]] = []
-        first_at: dict[Var, int] = {}
-        probed = set(columns)
-        for position, term in enumerate(atom.terms):
+    for i, columns in zip(order, probes):
+        atom = atoms[i]
+        key: list = []
+        for position in columns:
+            term = atom.terms[position]
             if isinstance(term, Const):
                 ident = store.peek(term.value)
                 if ident is None:
-                    return
-                const_ids[position] = ident
+                    return None
+                key.append(ident)
             else:
-                seen_at = first_at.get(term)
-                if position in probed:
-                    continue
-                if seen_at is None and term not in first_at:
-                    first_at[term] = position
-                    firsts.append((position, term))
-                elif seen_at is not None:
-                    dup_checks.append((position, seen_at))
-        specs.append((atom, columns, const_ids, firsts, dup_checks))
-
-    def recurse(depth: int, id_binding: dict[Var, int]) -> Iterator[dict[Var, int]]:
-        if depth == len(planned):
-            yield id_binding
-            return
-        atom, columns, const_ids, firsts, dup_checks = specs[depth]
-        cols = store.columns[atom.relation]
-        if columns:
-            terms = atom.terms
-            key = tuple(
-                const_ids[c] if isinstance(terms[c], Const) else id_binding[terms[c]]
-                for c in columns
-            )
-            counters["evaluate.index_probes"] += 1
-            bucket = store.index(atom.relation, columns).get(key)
-            if bucket is None:
-                counters["evaluate.index_misses"] += 1
-                return
-            counters["evaluate.index_hits"] += 1
-            positions: Iterable[int] = bucket
-        else:
-            positions = range(store.counts[atom.relation])
-        for row_position in positions:
-            counters["evaluate.rows_scanned"] += 1
-            matched = True
-            for position, first_position in dup_checks:
-                if cols[position][row_position] != cols[first_position][row_position]:
-                    matched = False
-                    break
-            if not matched:
+                key.append(term)
+        probed = set(columns)
+        first_at: dict[Var, int] = {}
+        firsts: list[tuple[int, Var]] = []
+        dup_checks: list[tuple[int, int]] = []
+        for position, term in enumerate(atom.terms):
+            if position in probed:
                 continue
-            extended = dict(id_binding)
-            for position, var in firsts:
-                ident = cols[position][row_position]
-                bound = extended.get(var)
-                if bound is None:
-                    extended[var] = ident
-                elif bound != ident:
-                    matched = False
-                    break
-            if matched:
-                yield from recurse(depth + 1, extended)
+            if term in first_at:
+                dup_checks.append((position, first_at[term]))
+            else:
+                first_at[term] = position
+                firsts.append((position, term))
+        specs.append((atom.relation, columns, tuple(key), firsts, dup_checks))
+    return specs
 
-    yield from recurse(0, {})
+
+def _gather(column: array, positions: Sequence[int]) -> array:
+    """``column`` read at *positions* (the column itself for the identity)."""
+    if type(positions) is range and positions == range(len(column)):
+        return column
+    return array(column.typecode, map(column.__getitem__, positions))
+
+
+def _match_positions(
+    store,
+    spec: tuple,
+    binding: dict[Var, array],
+    n: int,
+    counters: dict[str, int],
+) -> tuple[Sequence[int] | None, Sequence[int]]:
+    """Every (binding, row) pair matching one atom's probe, in binding order.
+
+    Returns ``(left, right)``: the binding index and the row position of
+    each match.  A probed atom looks all *n* keys up in the store's hash
+    index at once; an unprobed one pairs every binding with every row.
+    *left* is ``None`` when *binding* has no columns to carry along.
+    """
+    relation, columns, key, _, _ = spec
+    if columns:
+        key_columns = [
+            binding[part] if isinstance(part, Var) else repeat(part, n)
+            for part in key
+        ]
+        index = store.index(relation, columns)
+        buckets = list(map(index.get, zip(*key_columns), repeat((), n)))
+        lengths = list(map(len, buckets))
+        misses = lengths.count(0)
+        counters["evaluate.index_probes"] += n
+        counters["evaluate.index_misses"] += misses
+        counters["evaluate.index_hits"] += n - misses
+        right: Sequence[int] = list(chain.from_iterable(buckets))
+    else:
+        count = store.counts[relation]
+        rows = range(count)
+        right = rows if n == 1 else list(chain.from_iterable(repeat(rows, n)))
+        lengths = repeat(count, n)
+    counters["evaluate.rows_scanned"] += len(right)
+    if not binding:
+        return None, right
+    return list(chain.from_iterable(map(repeat, range(n), lengths))), right
+
+
+def _extend(
+    store,
+    spec: tuple,
+    binding: dict[Var, array],
+    left: Sequence[int] | None,
+    right: Sequence[int],
+) -> _IdBatch:
+    """The bindings extended by matched rows: filter, then gather columns."""
+    relation, _, _, firsts, dup_checks = spec
+    cols = store.columns[relation]
+    for position, first_position in dup_checks:
+        keep = list(
+            map(
+                eq,
+                map(cols[position].__getitem__, right),
+                map(cols[first_position].__getitem__, right),
+            )
+        )
+        right = list(compress(right, keep))
+        if left is not None:
+            left = list(compress(left, keep))
+    extended = {var: _gather(column, left) for var, column in binding.items()}
+    for position, var in firsts:
+        extended[var] = _gather(cols[position], right)
+    return extended, len(right)
+
+
+def _id_join(
+    store, specs: Sequence[tuple], counters: dict[str, int], chunk: int | None = None
+) -> Iterator[_IdBatch]:
+    """The id-space join core: batches of variable → id-column bindings.
+
+    One hash join per planned atom over whole columns of ids: the
+    partial bindings' key columns probe the store's index together, and
+    the matched positions gather every binding column at once.  No
+    :class:`Value` is built here.  With *chunk*, the driving atom's
+    matches are joined *chunk* rows at a time and each batch is yielded
+    before the next starts, so a caller that stops early does bounded
+    work; otherwise one batch holds the whole result.  Batches are in
+    the order a nested-loop join would produce.
+    """
+    if not specs:
+        yield {}, 1
+        return
+    first, rest = specs[0], specs[1:]
+    _, matched = _match_positions(store, first, {}, 1, counters)
+    step = chunk or max(len(matched), 1)
+    for start in range(0, len(matched), step):
+        binding, n = _extend(store, first, {}, None, matched[start : start + step])
+        for spec in rest:
+            if not n:
+                break
+            left, right = _match_positions(store, spec, binding, n, counters)
+            binding, n = _extend(store, spec, binding, left, right)
+        if n:
+            yield binding, n
 
 
 def _evaluate_ids(
@@ -377,16 +443,23 @@ def _evaluate_ids(
 ) -> Iterator[Binding]:
     """Id-space join with value bindings: the :func:`evaluate` engine.
 
-    Wraps :func:`_evaluate_id_bindings`, materializing one value binding
-    per result (ids are in bijection with the store's values, so id
-    equality is value equality) and applying side-condition literals,
-    which need value-level term evaluation.
+    Runs :func:`_id_join` over chunks of the driving atom, materializing
+    one value binding per result (ids are in bijection with the store's
+    values, so id equality is value equality) and applying
+    side-condition literals, which need value-level term evaluation.
     """
-    values = instance.columnar_store.values
-    for id_binding in _evaluate_id_bindings(instance, atoms, order, probes, counters):
-        binding = {var: values[ident] for var, ident in id_binding.items()}
-        if _check_side_conditions(conjunction, binding):
-            yield binding
+    store = instance.columnar_store
+    specs = _id_join_specs(store, atoms, order, probes)
+    if specs is None:
+        return
+    values = store.values
+    for binding, n in _id_join(store, specs, counters, _ID_CHUNK):
+        variables = list(binding)
+        rows = zip(*(map(values.__getitem__, binding[v]) for v in variables))
+        for row in rows if variables else repeat((), n):
+            value_binding = dict(zip(variables, row))
+            if _check_side_conditions(conjunction, value_binding):
+                yield value_binding
 
 
 def premise_ids_eligible(conjunction: Conjunction, instance: Instance) -> bool:
@@ -407,16 +480,17 @@ def premise_ids_eligible(conjunction: Conjunction, instance: Instance) -> bool:
 
 def evaluate_premise_ids(
     conjunction: Conjunction, instance: Instance
-) -> tuple[tuple[Var, ...], list[tuple[int, ...]]] | None:
-    """All premise bindings as id tuples, or ``None`` when ineligible.
+) -> tuple[tuple[Var, ...], list[Sequence[int]], int] | None:
+    """All premise bindings as id columns, or ``None`` when ineligible.
 
     The chase's id-space fast path (:mod:`repro.mapping.chase`) asks for
-    every satisfying binding of a tgd premise as a tuple of store ids —
-    no value objects, no per-binding dicts surviving the call.  Returns
-    ``(variables, rows)`` with *variables* sorted by name and each row
-    the ids bound to them in that order; rows come back unsorted (the
-    chase sorts id tuples itself, which on a value-sorted table is
-    exactly the canonical ``value_sort_key`` firing order).
+    every satisfying binding of a tgd premise in store ids — no value
+    objects, no per-binding dicts or tuples.  Returns ``(variables,
+    columns, count)``: *variables* sorted by name, ``columns[i]`` the ids
+    bound to ``variables[i]`` and *count* the number of bindings.  The
+    bindings come back unsorted (the chase sorts them as id tuples,
+    which on a value-sorted table is exactly the canonical
+    ``value_sort_key`` firing order).
 
     ``None`` (fall back to value-space evaluation) when the instance has
     no attached column store, indexing is disabled, any atom carries a
@@ -435,8 +509,9 @@ def evaluate_premise_ids(
             key=lambda v: v.name,
         )
     )
+    empty = (variables, [[] for _ in variables], 0)
     if any(atom.relation not in instance.schema for atom in atoms):
-        return variables, []
+        return empty
     order, probes = _plan_joins(atoms, (), instance)
     counters = {
         "evaluate.index_builds": 0,
@@ -447,15 +522,16 @@ def evaluate_premise_ids(
         "evaluate.rows_scanned": 0,
         "evaluate.id_joins": 1,
     }
-    rows: list[tuple[int, ...]] = []
+    store = instance.columnar_store
     try:
-        for id_binding in _evaluate_id_bindings(
-            instance, atoms, order, probes, counters
-        ):
-            rows.append(tuple(id_binding[v] for v in variables))
+        specs = _id_join_specs(store, atoms, order, probes)
+        if specs is None:
+            return empty
+        for binding, n in _id_join(store, specs, counters):
+            return variables, [binding[v] for v in variables], n
+        return empty
     finally:
         _publish(counters)
-    return variables, rows
 
 
 def evaluate(

@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 from array import array
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 from ..budget import Budget, BudgetExceeded
@@ -44,7 +45,7 @@ from ..logic.terms import Const, Var
 from ..obs import get_registry, get_tracer
 from ..options import DEFAULT_MAX_STEPS, ExchangeOptions
 from ..provenance.store import NOOP, ProvenanceStore, resolve_provenance
-from ..relational.columnar import ColumnStore, width_code
+from ..relational.columnar import ColumnStore, sort_id_columns, width_code
 from ..relational.homomorphism import core as core_of
 from ..relational.instance import Fact, Instance, Row
 from ..relational.schema import AttributeType, Schema
@@ -331,15 +332,14 @@ def _chase_st_tgds_ids(
     """NAIVE st-tgd chase entirely in id space, or ``None`` when ineligible.
 
     When the source carries a column store, premise bindings already
-    come back as integer ids (:func:`evaluate_premise_ids`); this path
-    keeps them that way all the way into the solution — conclusion rows
-    are id tuples appended to per-relation lists, fresh nulls are bare
-    labels, and the result is a deferred
+    come back as columns of integer ids (:func:`evaluate_premise_ids`);
+    this path keeps them that way all the way into the solution.  Each
+    conclusion atom's columns are built whole — frontier variables are
+    the sorted binding columns, constants are repeats, fresh nulls are
+    ``range`` blocks of bare labels — and the result is a deferred
     :class:`~repro.relational.columnar.ColumnStore` wrapped in a lazy
     :class:`Instance`.  No :class:`Fact`, value tuple or binding dict is
-    built per firing, which roughly halves the chase's allocation
-    traffic — the difference between scaling and stalling on
-    memory-bandwidth-bound multi-core hosts (see docs/PERFORMANCE.md).
+    built per firing (see docs/PERFORMANCE.md).
 
     Semantics match :func:`_chase_st_tgds` exactly:
 
@@ -349,7 +349,8 @@ def _chase_st_tgds_ids(
       identical labels; on other stores the order is still
       deterministic and the result equal up to null renaming;
     * set semantics via per-relation dedupe of rows with no per-firing
-      existential (rows carrying one are unique by construction);
+      existential, first occurrence kept (rows carrying one are unique
+      by construction);
     * duplicate conclusion atoms collapse (they ground identically).
 
     Eligibility is decided for *every* tgd before any fires, so the
@@ -427,80 +428,77 @@ def _chase_st_tgds_ids(
     shift = len(new_consts)
     labeled_count = store.labeled_count
     null_base = const_count + shift + labeled_count
-    out_rows: dict[str, list[tuple[int, ...]]] = {
-        name: [] for name in target_schema.relation_names
+    relation_names = target_schema.relation_names
+    # Per relation: the column pieces of rows carrying a fresh null (unique
+    # by construction), and the existential-free rows deduped in
+    # first-occurrence order.
+    fresh_pieces: dict[str, list[list]] = {
+        name: [[] for _ in range(target_schema[name].arity)]
+        for name in relation_names
     }
-    seen_rows: dict[str, set] = {}
-    fresh_labels: list[int] = []
+    plain_rows: dict[str, dict] = {name: {} for name in relation_names}
+    counts = dict.fromkeys(relation_names, 0)
+    fresh_labels = array("q")
+    source_size = store.table_size()
+    source_code = width_code(source_size)
     for premise, existential_vars, specs in compiled:
         evaluated = evaluate_premise_ids(premise, source)
         assert evaluated is not None  # gated above, per tgd
-        variables, rows = evaluated
-        rows.sort()
+        variables, binding_columns, firings = evaluated
+        if not firings:
+            continue
+        # Firing order: bindings sorted as id tuples over name-sorted
+        # variables.
+        var_columns = sort_id_columns(binding_columns, source_size, source_code)
+        if shift and labeled_count:
+            var_columns = [
+                [x if x < const_count else x + shift for x in column]
+                for column in var_columns
+            ]
         var_pos = {v: i for i, v in enumerate(variables)}
-        resolved = [
-            (
-                relation,
-                tuple(
-                    (src, var_pos[payload] if src == 0 else payload)
-                    for src, payload in ops
-                ),
-                has_existential,
-            )
-            for relation, ops, has_existential in specs
-        ]
         n_exist = len(existential_vars)
-        tgd_fresh_base = null_base + len(fresh_labels)
-        if n_exist and rows:
-            first_label = factory.fresh_block(n_exist * len(rows))
-            fresh_labels.extend(
-                range(first_label, first_label + n_exist * len(rows))
-            )
-        stats.tgd_firings += len(rows)
-        stats.nulls_created += n_exist * len(rows)
-        for k, row in enumerate(rows):
-            if shift:
-                row = tuple(
-                    x if x < const_count else x + shift for x in row
-                )
-            fid0 = tgd_fresh_base + k * n_exist
-            for relation, ops, has_existential in resolved:
-                cells = []
-                for src, payload in ops:
-                    if src == 0:
-                        cells.append(row[payload])
-                    elif src == 1:
-                        cells.append(payload)
-                    else:
-                        cells.append(fid0 + payload)
-                out = tuple(cells)
-                if not has_existential:
-                    seen = seen_rows.get(relation)
-                    if seen is None:
-                        seen = seen_rows[relation] = set()
-                    if out in seen:
-                        continue
-                    seen.add(out)
-                out_rows[relation].append(out)
+        fresh_base = null_base + len(fresh_labels)
+        fresh_end = fresh_base + n_exist * firings
+        if n_exist:
+            first_label = factory.fresh_block(n_exist * firings)
+            fresh_labels.extend(range(first_label, first_label + n_exist * firings))
+        stats.tgd_firings += firings
+        stats.nulls_created += n_exist * firings
+        for relation, ops, has_existential in specs:
+            # Frontier columns are the sorted binding columns, constants
+            # repeat, and firing k's j-th fresh null is
+            # fresh_base + k*n_exist + j.
+            columns = [
+                var_columns[var_pos[payload]] if src == 0
+                else repeat(payload, firings) if src == 1
+                else range(fresh_base + payload, fresh_end, n_exist)
+                for src, payload in ops
+            ]
+            if has_existential:
+                for piece, column in zip(fresh_pieces[relation], columns):
+                    piece.append(column)
+                counts[relation] += firings
+            else:
+                rows = zip(*columns) if columns else repeat((), firings)
+                plain_rows[relation].update(dict.fromkeys(rows))
 
     table_size = null_base + len(fresh_labels)
     code = width_code(table_size)
-    counts: dict[str, int] = {}
-    columns: dict[str, tuple] = {}
-    for name in target_schema.relation_names:
-        rows_out = out_rows[name]
-        counts[name] = len(rows_out)
-        arity = target_schema[name].arity
-        if arity and rows_out:
-            columns[name] = tuple(array(code, col) for col in zip(*rows_out))
-        else:
-            columns[name] = tuple(array(code) for _ in range(arity))
+    columns_out: dict[str, tuple] = {}
+    for name in relation_names:
+        plain = plain_rows[name]
+        counts[name] += len(plain)
+        plain_columns = zip(*plain) if plain else repeat(())
+        columns_out[name] = tuple(
+            array(code, chain(chain.from_iterable(pieces), extra))
+            for pieces, extra in zip(fresh_pieces[name], plain_columns)
+        )
     raw_constants = store.raw_constants()
     raw_constants.extend(new_consts)
-    labels = store.null_labels()
+    labels = array("q", store.null_labels())
     labels.extend(fresh_labels)
     result_store = ColumnStore._deferred(
-        target_schema, raw_constants, labels, (), counts, columns
+        target_schema, raw_constants, labels, (), counts, columns_out
     )
     return Instance._from_store(target_schema, result_store)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping
 
+from ..obs import get_tracer
 from .schema import Schema
 from .values import (
     Constant,
@@ -333,13 +334,17 @@ class Instance:
         the store backs :meth:`fingerprint`, flat-buffer payload
         shipping and the id-space evaluation path.  Instances decoded by
         :func:`~repro.relational.columnar.unpack_instance` arrive with a
-        store already attached and skip the build entirely.
+        store already attached and skip the build entirely.  A build
+        opens a ``columnar.build`` span (``source_facts``,
+        ``table_size``).
         """
         store = self._columnar
         if store is None or not store.canonical:
             from .columnar import ColumnStore
 
-            store = ColumnStore.build(self)
+            with get_tracer().span("columnar.build", source_facts=self.size()) as span:
+                store = ColumnStore.build(self)
+                span.set(table_size=store.table_size())
             self._columnar = store
         return store
 

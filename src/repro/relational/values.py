@@ -190,7 +190,9 @@ class NullFactory:
             self._counter = itertools.count(max(current, label + 1))
 
 
-_ORDERABLE_SCALARS = (str, int, float, bytes)
+# Scalar types whose values order natively among themselves; every other
+# constant orders by ``repr`` within its type name.
+ORDERABLE_SCALARS = (str, int, float, bytes)
 
 
 def value_sort_key(value: Value) -> tuple:
@@ -205,7 +207,7 @@ def value_sort_key(value: Value) -> tuple:
     """
     if isinstance(value, Constant):
         raw = value.value
-        if not isinstance(raw, _ORDERABLE_SCALARS):
+        if not isinstance(raw, ORDERABLE_SCALARS):
             raw = repr(raw)
         return (0, type(value.value).__name__, raw)
     if isinstance(value, LabeledNull):

@@ -15,8 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.logic.evaluation import (
+    _ID_CHUNK,
     evaluate,
     evaluate_delta,
+    evaluate_premise_ids,
     evaluate_scan,
     set_indexes_enabled,
 )
@@ -245,3 +247,143 @@ def _random_case(draw):
 def test_property_indexed_equals_scan(case):
     inst, conjunction = case
     assert_same(conjunction, inst)
+
+
+# -- the id-space join on store-attached instances ---------------------------
+
+
+def stored(inst):
+    """An equal instance with its canonical column store attached."""
+    copy = Instance(inst.schema, list(inst.facts()))
+    copy.columnar()
+    return copy
+
+
+def premise_binding_set(conjunction, inst):
+    """:func:`evaluate_premise_ids`' id columns as a value binding set."""
+    variables, columns, count = evaluate_premise_ids(conjunction, inst)
+    values = inst.columnar_store.values
+    rows = list(zip(*columns)) if variables else [()] * count
+    assert len(rows) == count
+    out = {
+        tuple(sorted((v.name, values[i]) for v, i in zip(variables, row)))
+        for row in rows
+    }
+    assert len(out) == count  # no binding twice
+    return out
+
+
+def assert_id_join_agrees(conjunction, inst):
+    """Both id-space entry points agree with the scan oracle."""
+    reference = binding_set(evaluate_scan(conjunction, inst))
+    with_store = stored(inst)
+    assert binding_set(evaluate(conjunction, with_store)) == reference
+    assert premise_binding_set(conjunction, with_store) == reference
+    return reference
+
+
+class TestStoreAttached:
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("Emp(n, d), Dept(d, h)", 4),
+            ("Emp(n, d), Dept(d, h), Likes(n, m)", 3),
+            ("Likes(x, y), Likes(y, z), Likes(z, w)", 3),
+            ("Likes(x, x)", 1),
+            ("Likes(x, x), Emp(x, d)", 1),
+            ('Emp(n, "d1"), Dept("d1", h)', 2),
+            ('Emp(n, "nowhere")', 0),
+            ('Likes(x, y), Emp(y, "d2")', 2),
+            ("Emp(a, b), Likes(c, d)", 12),
+        ],
+    )
+    def test_agrees_with_scan(self, joined, text, expected):
+        out = assert_id_join_agrees(parse_conjunction(text), joined)
+        assert len(out) == expected
+
+    def test_empty_relation(self, joined):
+        s = schema(relation("Emp", "name", "dept"), relation("Dept", "dept", "head"))
+        inst = Instance(s, {"Emp": joined.rows("Emp")})
+        conjunction = parse_conjunction("Emp(n, d), Dept(d, h)")
+        assert assert_id_join_agrees(conjunction, inst) == set()
+
+    def test_nulls_join_by_id(self):
+        s = schema(relation("A", "x"), relation("B", "x", "y"))
+        inst = Instance(
+            s,
+            [
+                Fact("A", (LabeledNull(0),)),
+                Fact("B", (LabeledNull(0), constant("p"))),
+                Fact("B", (LabeledNull(1), constant("q"))),
+            ],
+        )
+        assert len(assert_id_join_agrees(parse_conjunction("A(x), B(x, y)"), inst)) == 1
+
+    @pytest.mark.parametrize("entry", ["evaluate", "premise_ids"])
+    def test_counters_pinned(self, joined, entry):
+        # Dept is scanned (3 rows), then Emp probed once per department:
+        # the nested-loop counts, whichever join computes them.
+        with_store = stored(joined)
+        conjunction = parse_conjunction("Emp(n, d), Dept(d, h), Likes(n, m)")
+        with collecting() as registry:
+            if entry == "evaluate":
+                list(evaluate(conjunction, with_store))
+            else:
+                evaluate_premise_ids(conjunction, with_store)
+            counters = registry.snapshot()["counters"]
+        assert counters["evaluate.id_joins"] == 1
+        assert counters["evaluate.rows_scanned"] == 10
+        assert counters["evaluate.index_probes"] == 7
+        assert counters["evaluate.index_hits"] == 6
+        assert counters["evaluate.index_misses"] == 1
+
+    def test_two_atom_counters_pinned(self, joined):
+        with collecting() as registry:
+            list(evaluate(parse_conjunction("Emp(n, d), Dept(d, h)"), stored(joined)))
+            counters = registry.snapshot()["counters"]
+        assert counters["evaluate.rows_scanned"] == 7
+        assert counters["evaluate.index_probes"] == 3
+        assert counters["evaluate.index_hits"] == 3
+        assert "evaluate.index_misses" not in counters
+
+    def test_early_stop_joins_one_chunk(self):
+        s = schema(relation("R", "a"), relation("S", "a", "b"))
+        rows = 3 * _ID_CHUNK
+        inst = instance(
+            s, {"R": [[i] for i in range(rows)], "S": [[i, -i] for i in range(rows)]}
+        )
+        inst.columnar()
+        with collecting() as registry:
+            bindings = evaluate(parse_conjunction("R(x), S(x, y)"), inst)
+            assert next(bindings)
+            bindings.close()
+            counters = registry.snapshot()["counters"]
+        # R drives; only its first chunk probed S
+        assert counters["evaluate.index_probes"] == _ID_CHUNK
+
+
+_TERMS = st.one_of(
+    _VARS,
+    _VARS,
+    st.sampled_from(["a", 1, "absent", 99]).map(const),
+)
+
+
+@st.composite
+def _random_stored_case(draw):
+    inst, _ = draw(_random_case())
+    atoms = []
+    for rel, arity in draw(
+        st.lists(
+            st.sampled_from([("R", 2), ("S", 2), ("T", 1)]), min_size=1, max_size=3
+        )
+    ):
+        atoms.append(atom(rel, *(draw(_TERMS) for _ in range(arity))))
+    return inst, conj(*atoms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_random_stored_case())
+def test_property_id_join_equals_scan(case):
+    inst, conjunction = case
+    assert_id_join_agrees(conjunction, inst)

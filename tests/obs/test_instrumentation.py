@@ -48,6 +48,23 @@ class TestChaseInstrumentation:
         assert registry.counter("chase.tgd_firings").value == result.statistics.tgd_firings > 0
         assert registry.counter("chase.nulls_created").value == result.statistics.nulls_created
 
+    def test_columnar_build_span(self, observed):
+        tracer, _ = observed
+        source = instance(
+            schema(relation("Emp", "name", "dept")),
+            {"Emp": [["ann", "d1"], ["bob", "d1"]]},
+        )
+        source.columnar()
+        source.columnar()  # memoized: one build, one span
+        spans = [
+            span
+            for root in tracer.spans()
+            for span, _ in root.walk()
+            if span.name == "columnar.build"
+        ]
+        assert len(spans) == 1
+        assert spans[0].attributes == {"source_facts": 2, "table_size": 3}
+
     def test_as_dict_matches_fields(self):
         scenario = emp_manager_scenario()
         stats = chase(scenario.mapping, scenario.sample).statistics
