@@ -1,13 +1,15 @@
 """The fingerprint-keyed solution cache vs a cold exchange.
 
-Measures the cache of :mod:`repro.exec` on a clustered join workload
-(``Emp(n, d), Dept(d, h) → ∃m Office(n, h, m)`` with ``size`` employees
-spread over ``size // dept_ratio`` departments): a cold exchange (the
-first one fills the cache, the rest are serial chases of fresh copies)
-vs a cache hit.  Hits are measured on *fresh equal copies* of the
-source, so each timed hit pays the full content-fingerprint cost a
-request stream would pay.  ``--backend sqlite`` additionally records the
-SQL backend's cold exchange (``backend_seconds``, informational).
+Measures ``ExchangeService(mapping, ExchangeOptions(cache=…,
+backend=…))`` on a clustered join workload (``Emp(n, d), Dept(d, h) →
+∃m Office(n, h, m)`` with ``size`` employees spread over ``size //
+dept_ratio`` departments): a cold exchange (the first one fills the
+cache, the rest are serial chases of fresh copies) vs
+a cache hit.  Hits are measured on *fresh equal copies* of the source,
+so each timed hit pays the full content-fingerprint cost a request
+stream would pay.  ``--backend sqlite`` runs the cached service on the
+SQL backend and additionally records the backend's bare cold exchange
+(``backend_seconds``, informational).
 
 The file keeps its name for continuity: it once also measured
 intra-request sharding, which was removed (docs/PERFORMANCE.md,
@@ -35,7 +37,8 @@ import sys
 import time
 from pathlib import Path
 
-from repro.exec import ExchangeCache, ParallelExchange
+from repro import ExchangeOptions, ExchangeService
+from repro.exec import ExchangeCache
 from repro.mapping import SchemaMapping, universal_solution
 from repro.relational import instance, relation, schema
 
@@ -73,7 +76,6 @@ def backend_for(mapping, name: str):
     if name == "interpreted":
         return None
     from repro.backends.base import plan_backend
-    from repro.options import ExchangeOptions
 
     plan = plan_backend(mapping, ExchangeOptions(backend=name))
     if plan is None or not plan.ready:
@@ -119,22 +121,22 @@ def main() -> int:
     for size in args.sizes:
         mapping, fresh_source = build_setting(size, args.dept_ratio)
         cache = ExchangeCache(capacity=8)
-        with ParallelExchange(mapping, workers=1, cache=cache) as executor:
-            cold_copies = [fresh_source() for _ in range(args.repeat)]
-            cold = timed(lambda: executor.exchange(cold_copies[0]), 1)  # fills
-            cold += [
-                t
-                for copy in cold_copies[1:]
-                for t in timed(lambda: universal_solution(mapping, copy), 1)
-            ]
-            # each timed hit uses a fresh equal copy: the fingerprint is
-            # recomputed, the chase is not.
-            hit_copies = [fresh_source() for _ in range(args.repeat)]
-            hits = [
-                t
-                for copy in hit_copies
-                for t in timed(lambda: executor.exchange(copy), 1)
-            ]
+        cached = ExchangeService(
+            mapping, ExchangeOptions(cache=cache, backend=args.backend)
+        )
+        cold_copies = [fresh_source() for _ in range(args.repeat)]
+        cold = timed(lambda: cached.exchange(cold_copies[0]), 1)  # fills
+        cold += [
+            t
+            for copy in cold_copies[1:]
+            for t in timed(lambda: universal_solution(mapping, copy), 1)
+        ]
+        # each timed hit uses a fresh equal copy: the fingerprint is
+        # recomputed, the exchange is not.
+        hit_copies = [fresh_source() for _ in range(args.repeat)]
+        hits = [
+            t for copy in hit_copies for t in timed(lambda: cached.exchange(copy), 1)
+        ]
         entry = {
             "size": size,
             "cold_seconds": pystats.median(cold),
@@ -158,7 +160,7 @@ def main() -> int:
 
     payload = {
         "benchmark": "parallel_exchange",
-        "description": "fingerprint-keyed solution cache vs serial chase",
+        "description": "fingerprint-keyed solution cache vs a cold exchange",
         "cpu_count": os.cpu_count(),
         "backend": args.backend,
         "dept_ratio": args.dept_ratio,

@@ -64,6 +64,11 @@ class _OffsetSentinel:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "<null-id-offset>"
 
+    def __reduce__(self) -> str:
+        # Unpickles as the module singleton: programs compare it by
+        # identity, also in the HTTP server's worker processes.
+        return "OFFSET"
+
 
 OFFSET = _OffsetSentinel()
 

@@ -94,6 +94,7 @@ from .mapping.chase import ChaseNonTermination
 from .mapping.dependencies import target_dependency_from_rule
 from .mapping.sttgd import StTgd
 from .obs import (
+    Histogram,
     MetricsRegistry,
     Tracer,
     collecting,
@@ -311,10 +312,7 @@ def cmd_exchange(args: argparse.Namespace) -> int:
         return 0
     engine, source_schema, _ = _build_engine(args)
     source = load_instance(args.data, source_schema, "source")
-    try:
-        result = engine.exchange(source)
-    finally:
-        engine.close()
+    result = engine.exchange(source)
     if isinstance(result, Solution):
         _export_provenance(result.provenance, getattr(args, "provenance_json", None))
     _emit(_unwrap(result), args.out)
@@ -367,28 +365,19 @@ def cmd_profile(args: argparse.Namespace) -> int:
     engine, source_schema, _ = _build_engine(args)
     source = load_instance(args.data, source_schema, "source")
     universal_solution(engine.mapping, source)  # reference chase
-    backend_active = (
-        engine.backend_plan is not None and engine.backend_plan.ready
-    )
-    try:
-        for _ in range(max(args.repeat, 1)):
-            target = engine.exchange(source)
-            # The executor and the SQL backends return the chase's
-            # solution (labelled nulls), not the lens view (Skolem
-            # values); put diffs against the lens view, so the
-            # round-trip must push that view back.
-            if engine.executor is None and not backend_active:
-                view = target
-            else:
-                view = engine.lens.get(source)
-            engine.put_back(view, source)
-    finally:
-        engine.close()
+    for _ in range(max(args.repeat, 1)):
+        target = engine.exchange(source)
+        # The exchange core (chase or SQL backend) returns a solution
+        # with labelled nulls, not the lens view (Skolem values); put
+        # diffs against the lens view, so the round-trip must push that
+        # view back.
+        view = engine.lens.get(source) if engine.runs_core else target
+        engine.put_back(view, source)
     print(render_trace(get_tracer()))
     print()
     print(render_metrics(get_registry()))
-    if backend_active:
-        backend = engine.backend_plan.backend
+    backend = engine.backend
+    if backend is not None:
         print()
         print(f"backend phases ({backend.name}):")
         for phase in ("load", "compile", "execute", "extract"):
@@ -739,10 +728,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     args.provenance = True  # explain is pointless without lineage
     engine, source_schema, _ = _build_engine(args)
     source = load_instance(args.data, source_schema, "source")
-    try:
-        result = engine.exchange(source)
-    finally:
-        engine.close()
+    result = engine.exchange(source)
     assert isinstance(result, Solution)
     _export_provenance(result.provenance, getattr(args, "provenance_json", None))
 
@@ -768,13 +754,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     return 0
-
-
-def _percentile(sorted_values: list[float], q: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(q * (len(sorted_values) - 1) + 0.5))
-    return sorted_values[index]
 
 
 def _bench_fault_plan(args: argparse.Namespace) -> FaultPlan:
@@ -942,7 +921,6 @@ def _serve_bench_http(
         finally:
             service.close()
         counters = registry.snapshot()["counters"]
-    latencies.sort()
     completed = len(latencies)
     report = {
         "mode": "http",
@@ -954,9 +932,7 @@ def _serve_bench_http(
         "errors": len(errors),
         **_pool_counters(counters),
         "streamed_chunks": streamed_chunks,
-        "latency_p50_ms": round(_percentile(latencies, 0.50) * 1000, 3),
-        "latency_p95_ms": round(_percentile(latencies, 0.95) * 1000, 3),
-        "latency_p99_ms": round(_percentile(latencies, 0.99) * 1000, 3),
+        **_latency_percentiles(latencies),
         "throughput_rps": round(completed / elapsed, 3) if elapsed > 0 else 0.0,
         "clean_shutdown": True,
     }
@@ -1044,7 +1020,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         counters = registry.snapshot()["counters"]
 
     elapsed = time.perf_counter() - bench_started
-    latencies.sort()
     report = {
         "requests": args.requests,
         "completed": completed,
@@ -1052,18 +1027,27 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         "errors": len(errors),
         **_pool_counters(counters),
         "rejections": int(counters.get("service.rejections", 0)),
-        "latency_p50_ms": round(_percentile(latencies, 0.50) * 1000, 3),
-        "latency_p95_ms": round(_percentile(latencies, 0.95) * 1000, 3),
-        "latency_p99_ms": round(_percentile(latencies, 0.99) * 1000, 3),
+        **_latency_percentiles(latencies),
         "throughput_rps": round(completed / elapsed, 3) if elapsed > 0 else 0.0,
         "clean_shutdown": clean_shutdown,
     }
     return _finish_serve_bench(args, report, errors)
 
 
-def _pool_counters(counters: dict) -> dict[str, int]:
-    """The worker-pool health figures of a serve-bench report."""
+def _latency_percentiles(latencies: list[float]) -> dict[str, float]:
+    """p50/p95/p99 in ms (nearest rank, :meth:`Histogram.percentile`)."""
+    histogram = Histogram("latency")
+    histogram.values = latencies
     return {
+        f"latency_p{p}_ms": round(histogram.percentile(p) * 1000, 3)
+        for p in (50, 95, 99)
+    }
+
+
+def _pool_counters(counters: dict) -> dict[str, int]:
+    """The worker-pool and cache figures of a serve-bench report."""
+    return {
+        "cache_hits": int(counters.get("exchange.cache.hits", 0)),
         "retries": int(counters.get("service.retries", 0)),
         "pool_failures": int(counters.get("exchange.pool.failures", 0)),
         "breaker_opens": int(counters.get("service.breaker_open", 0)),

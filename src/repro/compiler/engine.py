@@ -23,15 +23,24 @@ workflow: mapping in, plan + show-plan + questions out, then bidirectional
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Any
 
 from ..backends import BackendPlan, plan_backend
 from ..budget import Budget
-from ..exec.parallel import ParallelExchange
+from ..exec.cache import ExchangeCache, mapping_fingerprint
+from ..exec.core import execute, through_cache
 from ..lenses.symmetric import SpanLens
 from ..mapping.sttgd import SchemaMapping
 from ..obs import get_registry, get_tracer
 from ..options import ExchangeOptions
-from ..provenance import NOOP, ProvenanceStore, Solution, resolve_provenance
+from ..provenance import (
+    NOOP,
+    ProvenanceLog,
+    ProvenanceStore,
+    Solution,
+    resolve_provenance,
+)
 from ..relational.instance import Fact, Instance
 from ..relational.schema import Schema
 from ..rlens.base import RelationalLens, ViewViolationError
@@ -205,7 +214,7 @@ class ExchangeEngine:
     plan: MappingPlan
     lens: ExchangeLens
     hints: Hints = field(default_factory=Hints)
-    executor: ParallelExchange | None = None
+    cache: ExchangeCache | None = None
     options: ExchangeOptions = field(default_factory=ExchangeOptions)
     backend_plan: BackendPlan | None = None
 
@@ -222,12 +231,12 @@ class ExchangeEngine:
         """Compile a mapping: tgds → templates → policies → plan → lens.
 
         *options* (an :class:`~repro.options.ExchangeOptions`) is the one
-        place every limit and executor knob lives: ``workers``/``cache``
-        opt into the :mod:`repro.exec` executor (solution cache, the
-        server's worker pool), ``max_steps`` bounds target-dependency chases, and
-        ``deadline``/``max_facts`` build per-request budgets.  All
-        default to off, and the backward direction (:meth:`put_back`) is
-        unaffected.  The pre-ExchangeOptions ``workers=``/``cache=``
+        place every limit and executor knob lives: ``cache`` turns on the
+        solution cache, ``backend`` picks a SQL engine, ``workers`` sizes
+        the HTTP server's pool, ``max_steps`` bounds target-dependency
+        chases, and ``deadline``/``max_facts`` build per-request budgets.
+        All default to off, and the backward direction (:meth:`put_back`)
+        is unaffected.  The pre-ExchangeOptions ``workers=``/``cache=``
         keywords were removed — passing them is a ``TypeError`` (see
         README "Migrating to ExchangeOptions").
         """
@@ -249,33 +258,64 @@ class ExchangeEngine:
             )
             span.set(units=len(units))
             get_registry().increment("compile.calls")
-        executor = None
-        if options.wants_executor:
-            executor = ParallelExchange(mapping, options=options)
+        cache = options.cache
+        if isinstance(cache, int):
+            cache = ExchangeCache(capacity=cache)
         # Resolve the SQL backend request (None for "interpreted"); a
         # non-compilable mapping yields a plan with fallback reasons and
-        # the interpreted paths below keep serving.
+        # the chase keeps serving.
         backend_plan = plan_backend(mapping, options, statistics)
-        return cls(mapping, plan, lens, hints, executor, options, backend_plan)
+        return cls(mapping, plan, lens, hints, cache, options, backend_plan)
+
+    @property
+    def backend(self) -> Any:
+        """The ready SQL backend, or ``None`` (interpreted, or fallen back)."""
+        plan = self.backend_plan
+        return plan.backend if plan is not None and plan.ready else None
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """The mapping's content fingerprint (cache keys, resumption tokens)."""
+        return mapping_fingerprint(self.mapping)
+
+    @property
+    def runs_core(self) -> bool:
+        """Whether :meth:`exchange` runs the exchange core, not ``lens.get``.
+
+        True when a ready backend, a cache or ``workers`` is configured.
+        """
+        return (
+            self.backend is not None
+            or self.cache is not None
+            or self.options.workers is not None
+        )
+
+    @property
+    def executor(self) -> None:
+        """Always ``None``: no executor object exists any more.
+
+        The solution cache is :attr:`cache` and the worker pool belongs
+        to the HTTP server; callers probing for the old executor fall
+        back to their own pool.
+        """
+        return None
 
     def exchange(
         self, source: Instance, budget: Budget | None = None
     ) -> Instance | Solution:
         """Forward data exchange: materialize the target instance.
 
-        With a SQL backend configured (``options.backend="sqlite"`` /
-        ``"duckdb"``) and a compilable mapping, the exchange runs inside
-        the embedded engine (:mod:`repro.backends`) — the core universal
-        solution for laconic mappings, a homomorphically equivalent one
-        otherwise; provenance requests and non-compilable mappings fall
-        back to the interpreted paths below.  With an executor configured
-        (``options.workers``/``options.cache``) this runs the cached
-        in-process chase, whose solution is the
-        chase's (labelled nulls) rather than the lens view's (Skolem
-        values) — the two agree up to homomorphic equivalence.  Without
-        one, it is exactly ``lens.get``.  *budget* (or the options'
-        deadline/fact caps) bounds the request; exhaustion raises
-        :class:`~repro.budget.BudgetExceeded` — use
+        With a backend, cache or ``workers`` configured (:attr:`runs_core`)
+        the request runs through the exchange core
+        (:func:`repro.exec.core.execute`): a SQL backend
+        (``options.backend="sqlite"``/``"duckdb"``, compilable mappings)
+        returns the core universal solution for laconic mappings and a
+        homomorphically equivalent one otherwise; the chase returns its
+        canonical solution (labelled nulls), which agrees with the lens
+        view (Skolem values) up to homomorphic equivalence; ``cache``
+        answers repeated sources.  Otherwise it is exactly ``lens.get``.
+        *budget* (or the options' deadline/fact caps) bounds the request;
+        exhaustion raises :class:`~repro.budget.BudgetExceeded` — use
         :class:`repro.service.ExchangeService` to degrade to a
         :class:`~repro.service.PartialSolution` instead.
 
@@ -285,40 +325,30 @@ class ExchangeEngine:
         yields per-fact why-trees.
         """
         store = resolve_provenance(self.options.provenance)
-        if (
-            self.backend_plan is not None
-            and self.backend_plan.ready
-            and not store.enabled
-        ):
-            if budget is None:
-                budget = self.options.budget()
-            return self.backend_plan.backend.exchange(source, budget)
-        if self.executor is not None:
-            if budget is None:
-                budget = self.options.budget()
-            solution = self.executor.exchange(source, budget, store)
-        else:
+        if not self.runs_core:
             solution = self.lens.get(source, store)
-        if store.enabled:
-            return Solution(solution, store, source)
-        return solution
+            return Solution(solution, store, source) if store.enabled else solution
+        hit, keep = through_cache(
+            self.cache, self.fingerprint, source, self.backend, store.enabled
+        )
+        outcome = hit or keep(
+            execute(
+                self.mapping,
+                source,
+                self.options,
+                budget if budget is not None else self.options.budget(),
+                provenance=ProvenanceLog() if store.enabled else None,
+                backend=self.backend,
+                degrade=False,
+            )
+        )
+        if outcome.provenance is None:
+            return outcome.solution
+        return Solution(outcome.solution, store.absorb(outcome.provenance), source)
 
     def exchange_many(self, sources) -> list[Instance | Solution]:
-        """Exchange a stream of sources, reusing the pool and cache."""
-        if self.options.wants_provenance:
-            # Each request needs its own lineage log; the per-source
-            # path threads one fresh store per exchange.
-            return [self.exchange(source) for source in sources]
-        if self.backend_plan is not None and self.backend_plan.ready:
-            return [self.exchange(source) for source in sources]
-        if self.executor is not None:
-            return self.executor.exchange_many(sources)
-        return [self.lens.get(source) for source in sources]
-
-    def close(self) -> None:
-        """Release executor resources (worker pool); idempotent."""
-        if self.executor is not None:
-            self.executor.close()
+        """Exchange a stream of sources, sharing the cache and backend."""
+        return [self.exchange(source) for source in sources]
 
     def put_back(self, view: Instance, source: Instance) -> Instance:
         """Propagate target edits back into the source."""

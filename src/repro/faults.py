@@ -2,8 +2,8 @@
 
 The canonical import path is :mod:`repro.service.faults`; the
 implementation lives here (a leaf module) so the layers it instruments —
-:mod:`repro.mapping.chase` and :mod:`repro.exec.parallel` — can import
-the hook without cycles.
+:mod:`repro.mapping.chase` and :mod:`repro.service.aserve` — can
+import the hook without cycles.
 
 Code under test calls :func:`fault_point` at named seams; a
 :class:`FaultPlan` installed via :func:`fault_injection` decides, from a
@@ -13,9 +13,9 @@ or passes.  With no plan installed the hook is one global read and a
 
 Seams currently instrumented:
 
-* ``"pool.spawn"``  — :class:`~repro.exec.parallel.ParallelExchange`
-  creating the server's ``ProcessPoolExecutor`` (inject ``OSError`` to
-  simulate spawn failure);
+* ``"pool.spawn"``  — :class:`~repro.service.aserve.ExchangeServer`
+  creating its ``ProcessPoolExecutor`` (inject ``OSError`` to simulate
+  spawn failure);
 * ``"pool.map"``    — the HTTP server dispatching a request payload to
   the pool (inject ``BrokenProcessPool`` to simulate a worker crash);
 * ``"chase.step"``  — each target-dependency chase step (inject a sleep

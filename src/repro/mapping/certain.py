@@ -111,10 +111,11 @@ def certain_answers(
 
     Computed as the naive evaluation of *query* on the canonical universal
     solution of *source* — correct for CQs by FKMP (2005).  Pass an
-    already-materialized universal *solution* (e.g. from a prior chase, a
-    :class:`~repro.exec.parallel.ParallelExchange`, or its cache) to
-    answer many queries without re-chasing; the caller asserts it really
-    is a universal solution of *source* under *mapping*.
+    already-materialized universal *solution* (e.g. from a prior chase,
+    or :meth:`ExchangeEngine.exchange <repro.compiler.ExchangeEngine.exchange>`
+    /``ExchangeService.exchange`` with a cache) to answer many queries
+    without re-chasing; the caller asserts it really is a universal
+    solution of *source* under *mapping*.
 
     With ``explain=True`` the result is a dict mapping each certain
     answer to an :class:`AnswerWitness`.  Lineage (``witness.why``) is

@@ -182,7 +182,7 @@ def id_path_applies(
     The id-space fast path (:func:`_chase_st_tgds_ids`) covers the
     common dispatch — NAIVE, unbudgeted, no lineage, no target-dependency
     phase to feed — and runs only when the source carries a column
-    store.  The in-process exchange (:mod:`repro.exec.parallel`) asks
+    store.  The exchange core (:func:`repro.exec.core.execute`) asks
     the same question to decide whether building the source's store
     first pays; :func:`chase` itself never builds one.
     """

@@ -9,11 +9,11 @@ This module unifies them:
 >>> engine = ExchangeEngine.compile(mapping, options=opts)
 
 Fields map one-to-one onto CLI flags (``--workers``, ``--cache``,
-``--max-steps``, ``--deadline``, ``--max-facts``), onto the knobs of
-:class:`~repro.service.ExchangeService`, and — all but the server-side
-``workers`` and ``retry`` — onto the JSON ``options`` object of the HTTP
-service (:meth:`ExchangeOptions.as_dict` /
-:meth:`ExchangeOptions.from_dict` — see docs/SERVICE.md).  The
+``--max-steps``, ``--deadline``, ``--max-facts``, ``--backend``), onto the
+knobs of :class:`~repro.service.ExchangeService`, and — all but the
+server-side ``workers``, ``cache``, ``backend`` and ``retry`` — onto the
+JSON ``options`` object of the HTTP service (:meth:`ExchangeOptions.as_dict`
+/ :meth:`ExchangeOptions.from_dict` — see docs/SERVICE.md).  The
 pre-unification keyword arguments (``workers=``/``cache=`` on
 ``ExchangeEngine.compile``, ``max_target_steps=`` on ``chase``) were
 removed after a deprecation cycle; passing them is a ``TypeError`` now —
@@ -90,7 +90,8 @@ class ExchangeOptions:
     * ``workers`` — size of the HTTP server's worker pool (requests,
       not parts of one, run in parallel; server-side, not on the wire);
     * ``cache`` — LRU capacity (or a prebuilt
-      :class:`~repro.exec.cache.ExchangeCache`) for universal solutions;
+      :class:`~repro.exec.cache.ExchangeCache`, shareable between
+      services) for universal solutions; server-side;
     * ``max_steps`` — target-dependency chase-step cap
       (:class:`~repro.mapping.chase.ChaseNonTermination` past it);
     * ``deadline`` — wall-clock seconds per request
@@ -106,7 +107,7 @@ class ExchangeOptions:
       Python chase, the default), ``"sqlite"`` or ``"duckdb"``
       (SQL-compiled via :mod:`repro.backends`; mappings outside the
       compilable fragment fall back to the interpreted chase with a
-      structured reason).
+      structured reason); server-side.
     """
 
     workers: int | None = None
@@ -148,11 +149,6 @@ class ExchangeOptions:
         return self.deadline is not None or self.max_facts is not None
 
     @property
-    def wants_executor(self) -> bool:
-        """True when the options opt into the :mod:`repro.exec` executor."""
-        return self.workers is not None or self.cache is not None
-
-    @property
     def wants_provenance(self) -> bool:
         """True when the options ask for lineage recording.
 
@@ -180,30 +176,40 @@ class ExchangeOptions:
     # -- wire format --------------------------------------------------------
 
     # The fields a remote client may set, i.e. everything that survives a
-    # JSON round-trip.  ``workers`` and ``retry`` stay server-side (pool
-    # size and retry policy are operator knobs, not request knobs).
-    _WIRE_FIELDS = (
-        "cache",
-        "max_steps",
-        "deadline",
-        "max_facts",
-        "backend",
-        "provenance",
-    )
+    # JSON round-trip.  ``workers``, ``cache``, ``backend`` and ``retry``
+    # stay server-side: pool size, solution cache, engine and retry policy
+    # are operator knobs, not request knobs.
+    _WIRE_FIELDS = ("max_steps", "deadline", "max_facts", "provenance")
+    _SERVER_FIELDS = ("workers", "cache", "backend", "retry")
+
+    def admit_request(self, request: "ExchangeOptions | None") -> "ExchangeOptions":
+        """The options one request runs with, on a service configured by *self*.
+
+        The server-side fields belong to the service: a request may
+        leave them at their defaults or repeat the service's value, and
+        anything else raises ``ValueError`` instead of being dropped.
+        """
+        if request is None:
+            return self
+        for name in self._SERVER_FIELDS:
+            asked, serving = getattr(request, name), getattr(self, name)
+            if asked != serving and asked != getattr(_DEFAULTS, name):
+                raise ValueError(
+                    f"options.{name} is set by the service ({serving!r}); "
+                    f"a request cannot change it to {asked!r}"
+                )
+        return request
 
     def as_dict(self) -> dict[str, Any]:
         """A JSON-compatible dict of the wire fields (stable keys).
 
-        Live objects degrade to their serializable shadow: a prebuilt
-        cache becomes its capacity, a prebuilt provenance store becomes
-        the boolean "record lineage".  ``from_dict(as_dict())`` therefore
-        round-trips the *request semantics*, not object identity.
+        A prebuilt provenance store degrades to the boolean "record
+        lineage", so ``from_dict(as_dict())`` round-trips the *request
+        semantics*, not object identity.
         """
         out: dict[str, Any] = {}
         for name in self._WIRE_FIELDS:
             value = getattr(self, name)
-            if name == "cache" and value is not None and not isinstance(value, int):
-                value = value.capacity
             if name == "provenance" and not isinstance(value, bool):
                 value = bool(getattr(value, "enabled", False))
             out[name] = value
@@ -234,3 +240,6 @@ class ExchangeOptions:
         if "provenance" in kwargs and not isinstance(kwargs["provenance"], bool):
             raise ValueError("options['provenance'] must be a boolean on the wire")
         return cls(**kwargs)
+
+
+_DEFAULTS = ExchangeOptions()

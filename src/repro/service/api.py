@@ -33,7 +33,10 @@ import json
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from ..budget import Budget
+from ..exec.core import Outcome
 from ..mapping.chase import ChaseStatistics
+from ..obs import get_registry
 from ..options import ExchangeOptions
 from ..provenance import ProvenanceLog, Solution
 from ..relational.instance import Instance
@@ -47,6 +50,7 @@ __all__ = [
     "ResumptionToken",
     "TOKEN_KIND",
     "TOKEN_VERSION",
+    "settle",
 ]
 
 TOKEN_VERSION = 1
@@ -229,6 +233,53 @@ class PartialSolution:
         return out
 
 
+def settle(
+    outcome: Outcome,
+    *,
+    source: Instance,
+    mapping_fingerprint: str,
+    options: ExchangeOptions,
+    budget: Budget | None = None,
+) -> "Instance | Solution | PartialSolution":
+    """Turn an exchange-core outcome into the result a caller sees.
+
+    A partial outcome becomes a :class:`PartialSolution` with a fresh
+    :class:`ResumptionToken` — the one place tokens are minted — and
+    counts ``service.degraded`` and ``service.<violated>_exceeded``.  A
+    complete one becomes the solution (a :class:`~repro.provenance.Solution`
+    when it carries lineage) and feeds the ``service.budget.remaining_*``
+    histograms.  A caller-supplied provenance store in *options* absorbs
+    the run's lineage.
+    """
+    registry = get_registry()
+    log = outcome.provenance
+    if log is not None and isinstance(options.provenance, ProvenanceLog):
+        log = options.provenance.absorb(log)
+    if outcome.status == "partial":
+        registry.increment("service.degraded")
+        registry.increment(f"service.{outcome.violated}_exceeded")
+        token = ResumptionToken(
+            mapping_fingerprint=mapping_fingerprint,
+            source_fingerprint=source.fingerprint(),
+            phase=outcome.phase,
+            partial=outcome.solution,
+            provenance=log.copy() if log is not None else None,
+        )
+        return PartialSolution(
+            outcome.solution, outcome.violated, outcome.statistics, token, log
+        )
+    if budget is not None:
+        remaining_seconds = budget.remaining_seconds()
+        if remaining_seconds is not None:
+            registry.observe("service.budget.remaining_seconds", remaining_seconds)
+        remaining_facts = budget.remaining_facts(outcome.solution.size())
+        if remaining_facts is not None:
+            registry.observe("service.budget.remaining_facts", remaining_facts)
+    if log is not None:
+        return Solution(outcome.solution, log, source)
+    return outcome.solution
+
+
 _REQUEST_WIRE_KEYS = ("tenant", "source", "options", "token", "request_id", "stream")
 
 
@@ -377,3 +428,14 @@ class ExchangeResponse:
         if include_facts:
             out["facts"] = instance_to_json(self.facts)
         return out
+
+    def summary_dict(self) -> dict[str, Any]:
+        """The NDJSON ``summary`` trailer of a streamed reply (docs/SERVICE.md)."""
+        return {
+            "kind": "summary",
+            "status": self.status,
+            "violated": self.violated,
+            "fact_count": self.facts.size(),
+            "token": self.token.as_dict() if self.token is not None else None,
+            "elapsed_ms": round(self.elapsed_seconds * 1000.0, 3),
+        }

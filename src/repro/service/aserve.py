@@ -2,10 +2,13 @@
 
 A handwritten HTTP/1.1 layer over ``asyncio.start_server`` (standard
 library only, by design): one event loop accepts any number of
-concurrent connections, admission control runs per tenant in the loop,
-and each request's CPU-bound chase payload is dispatched to a worker
-process via ``loop.run_in_executor`` — the loop never blocks on a chase,
-so a slow exchange cannot starve its neighbours' accepts or streams.
+concurrent connections, and each request is admitted through
+:meth:`ExchangeService.plan <repro.service.ExchangeService.plan>` in the
+loop — the same step as every library entry point, cache lookup
+included.  A cache miss's CPU-bound payload is dispatched to the
+server's worker pool via ``loop.run_in_executor`` — the loop never
+blocks on a chase, so a slow exchange cannot starve its neighbours'
+accepts or streams.
 
 Pool failures (spawn errors, a killed worker) are retried with
 exponential backoff + jitter under the service's
@@ -43,17 +46,23 @@ from __future__ import annotations
 
 import asyncio
 import json
+import signal
 import time
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Awaitable, Callable, Mapping
 
-from ..exec.parallel import ParallelExchange
 from ..faults import fault_point
 from ..mapping.chase import ChaseFailure
 from ..obs import get_registry, get_tracer
-from .api import ExchangeRequest
+from .api import ExchangeRequest, ExchangeResponse
 from .service import ExchangeService
-from .streaming import DEFAULT_CHUNK_FACTS, StreamSession, exchange_payload
+from .streaming import (
+    DEFAULT_CHUNK_FACTS,
+    exchange_payload,
+    fact_chunks,
+    outcome_from_dict,
+)
 from .tenancy import ServiceOverloaded
 
 __all__ = ["ExchangeClient", "ExchangeServer"]
@@ -101,6 +110,20 @@ def _chunk(data: bytes) -> bytes:
 _LAST_CHUNK = b"0\r\n\r\n"
 
 
+def _reset_inherited_signals() -> None:
+    """Pool-worker initializer: drop the signal wiring forked from the parent.
+
+    ``repro serve`` routes SIGTERM/SIGINT into its event loop through a
+    wakeup fd.  A forked worker inherits that fd and the no-op Python
+    handlers, so a SIGTERM the pool sends a worker (as it reaps a
+    broken pool) would be ignored by the worker and would stop the
+    parent server instead.
+    """
+    signal.set_wakeup_fd(-1)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+
+
 class ExchangeServer:
     """One mapping served over HTTP by one :class:`ExchangeService`.
 
@@ -108,9 +131,8 @@ class ExchangeServer:
     >>> await server.start()          # port 0 → OS-assigned, see .port
     >>> await server.serve_forever()  # or: await server.aclose()
 
-    With ``options.workers`` set the server dispatches to the engine
-    executor's pool of that size; otherwise it owns a two-worker pool,
-    so request payloads still leave the event loop.
+    The server owns the service's worker pool: ``options.workers``
+    processes (default 2), so request payloads leave the event loop.
     Every connection handles one request (``Connection: close``)
     — load balancers in front of an exchange fleet reconnect per
     request anyway, and it keeps the protocol state machine trivial.
@@ -131,13 +153,8 @@ class ExchangeServer:
         self._chunk_facts = chunk_facts
         self._max_body_bytes = max_body_bytes
         self._server: asyncio.AbstractServer | None = None
-        executor = service.engine.executor
-        self._owns_pool = executor is None or service.options.workers is None
-        self._executor = (
-            ParallelExchange(service.mapping, workers=2)
-            if self._owns_pool
-            else executor
-        )
+        self.workers = service.options.workers or 2
+        self._pool: ProcessPoolExecutor | None = None
         self._rng = service.options.retry.rng()
 
     # -- lifecycle -----------------------------------------------------------
@@ -161,7 +178,7 @@ class ExchangeServer:
             lambda pool: asyncio.gather(
                 *(
                     loop.run_in_executor(pool, int)
-                    for _ in range(self._executor.workers)
+                    for _ in range(self.workers)
                 )
             ),
             lambda: asyncio.sleep(0),
@@ -182,10 +199,39 @@ class ExchangeServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        if self._owns_pool:
-            self._executor.close()
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
 
     # -- the worker pool -----------------------------------------------------
+
+    def ensure_pool(self) -> ProcessPoolExecutor:
+        """The worker pool, spawning it on first use.
+
+        ``"pool.spawn"`` is the fault seam for spawn failures.
+        """
+        if self._pool is None:
+            fault_point("pool.spawn")
+            started = time.perf_counter()
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_reset_inherited_signals
+            )
+            get_registry().observe(
+                "exchange.pool.startup_seconds", time.perf_counter() - started
+            )
+        return self._pool
+
+    def discard_pool(self, pool: ProcessPoolExecutor) -> bool:
+        """Reap *pool* after a failure; ``False`` if it was already replaced.
+
+        Waits for the pool's management thread, so a respawn never forks
+        while it still runs; the next :meth:`ensure_pool` starts over.
+        """
+        if self._pool is not pool:
+            return False
+        self._pool = None
+        pool.shutdown(wait=True, cancel_futures=True)
+        return True
 
     async def _pooled(
         self,
@@ -210,12 +256,12 @@ class ExchangeServer:
         while True:
             pool = None
             try:
-                pool = self._executor.ensure_pool()
+                pool = self.ensure_pool()
                 result = await run(pool)
             except (BrokenProcessPool, OSError) as exc:
                 # Concurrent requests all see one broken pool fail;
                 # whoever reaps it counts the failure, once.
-                if pool is None or self._executor.discard_pool(pool):
+                if pool is None or self.discard_pool(pool):
                     registry.increment("exchange.pool.failures")
                     registry.increment(
                         f"exchange.pool.failures.{type(exc).__name__}"
@@ -359,17 +405,10 @@ class ExchangeServer:
         except ValueError as exc:
             raise _HttpError(400, "bad-request", str(exc))
         stream = bool(data.get("stream", True))
-        options = (
-            request.options if request.options is not None else self._service.options
-        )
-        if request.token is not None:
-            try:
-                self._service._check_token(request.source, request.token)
-            except ValueError as exc:
-                raise _HttpError(400, "token-mismatch", str(exc))
-        registry = get_registry()
         try:
-            self._service.gate.admit(request.tenant, 1)
+            plan = self._service.plan(request)
+        except ValueError as exc:
+            raise _HttpError(400, "token-mismatch", str(exc))
         except ServiceOverloaded as exc:
             payload = json.dumps(exc.as_dict()).encode("utf-8")
             head = _response_head(
@@ -384,9 +423,8 @@ class ExchangeServer:
             writer.write(head + payload)
             await writer.drain()
             return
-        started = time.perf_counter()
-        try:
-            registry.increment("service.requests")
+        registry = get_registry()
+        with plan:
             registry.increment("service.http.requests")
             with get_tracer().span(
                 "service.http",
@@ -394,33 +432,24 @@ class ExchangeServer:
                 request_id=request.request_id,
                 stream=stream,
             ):
-                session = StreamSession(
-                    self._service.mapping,
-                    request,
-                    options,
-                    mapping_fingerprint=self._service._mapping_fingerprint,
-                    chunk_facts=self._chunk_facts,
-                )
+                try:
+                    outcome = plan.cached or outcome_from_dict(
+                        await self._run_payload(plan.payload())
+                    )
+                    response = plan.respond(outcome)
+                except ChaseFailure as exc:
+                    raise _HttpError(422, "unsatisfiable", str(exc))
                 if stream:
-                    await self._stream_response(writer, request, session, started)
+                    registry.increment("service.streams")
+                    await self._stream_response(writer, response)
                 else:
-                    await self._buffered_response(writer, request, session, started)
-        except ChaseFailure as exc:
-            raise _HttpError(422, "unsatisfiable", str(exc))
-        finally:
-            self._service.gate.release(request.tenant, 1)
+                    await self._write_json(writer, 200, response.as_dict())
 
     async def _stream_response(
-        self,
-        writer: asyncio.StreamWriter,
-        request: ExchangeRequest,
-        session: StreamSession,
-        started: float,
+        self, writer: asyncio.StreamWriter, response: ExchangeResponse
     ) -> None:
-        get_registry().increment("service.streams")
-        # The outcome comes first: a failure still gets its own status
-        # line instead of text inside an already-open 200 body.
-        outcomes = [await self._run_payload(p) for p in session.payloads]
+        # The outcome is in before the status line: a failure still gets
+        # its own status instead of text inside an already-open 200 body.
         writer.write(
             _response_head(
                 200,
@@ -433,42 +462,16 @@ class ExchangeServer:
         )
         header = {
             "kind": "header",
-            "tenant": request.tenant,
-            "request_id": request.request_id,
-            "payloads": len(session.payloads),
-            "sharded": session.sharded,
+            "tenant": response.tenant,
+            "request_id": response.request_id,
+            "payloads": 1,
+            "sharded": False,
         }
         writer.write(_chunk(_ndjson(header)))
-        for index, outcome in enumerate(outcomes):
-            for fact_chunk in session.chunks(index, outcome):
-                writer.write(_chunk(_ndjson(fact_chunk.as_dict())))
-            # Drain per payload, not per chunk: backpressure without a
-            # flush syscall for every few thousand facts.
-            await writer.drain()
-        summary = session.summary_dict(
-            elapsed_seconds=time.perf_counter() - started
-        )
-        if summary["status"] != "complete":
-            get_registry().increment("service.degraded")
-        writer.write(_chunk(_ndjson(summary)) + _LAST_CHUNK)
+        for fact_chunk in fact_chunks(response.facts, self._chunk_facts):
+            writer.write(_chunk(_ndjson(fact_chunk.as_dict())))
+        writer.write(_chunk(_ndjson(response.summary_dict())) + _LAST_CHUNK)
         await writer.drain()
-
-    async def _buffered_response(
-        self,
-        writer: asyncio.StreamWriter,
-        request: ExchangeRequest,
-        session: StreamSession,
-        started: float,
-    ) -> None:
-        for index, payload in enumerate(session.payloads):
-            for _ in session.chunks(index, await self._run_payload(payload)):
-                pass
-        response = session.response(
-            elapsed_seconds=time.perf_counter() - started
-        )
-        if not response.complete:
-            get_registry().increment("service.degraded")
-        await self._write_json(writer, 200, response.as_dict())
 
     @staticmethod
     async def _write_json(

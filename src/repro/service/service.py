@@ -14,6 +14,11 @@ with:
   non-termination) returns a :class:`PartialSolution` carrying the
   facts chased so far, the violated budget and a
   :class:`ResumptionToken`, instead of raising;
+* **one execution path** — every entry point admits a request through
+  :meth:`ExchangeService.plan` (token check, option check, admission,
+  the ``service.*`` counters, the cache lookup) and runs it through the
+  exchange core (:func:`repro.exec.core.execute`), so ``backend`` and
+  ``cache`` hold on every entry point, HTTP included;
 * **retry + circuit breaker** — the service owns the
   :class:`~repro.exec.retry.CircuitBreaker` and the
   :class:`~repro.options.RetryPolicy` that guard the HTTP server's
@@ -47,30 +52,29 @@ from __future__ import annotations
 import time
 from typing import Any, Iterable, Iterator, Mapping
 
-from ..budget import Budget, BudgetExceeded
 from ..compiler.engine import ExchangeEngine
 from ..compiler.hints import Hints
-from ..exec.cache import mapping_fingerprint
-from ..exec.parallel import exchange_in_process
+from ..exec.core import Outcome, execute, through_cache
 from ..exec.retry import CircuitBreaker
-from ..mapping.chase import (
-    ChaseNonTermination,
-    ChaseStatistics,
-    chase_target_dependencies,
-)
 from ..mapping.sttgd import SchemaMapping
 from ..obs import get_registry, get_tracer
 from ..options import ExchangeOptions
-from ..provenance import ProvenanceLog, Solution, resolve_provenance
+from ..provenance import ProvenanceLog, Solution
 from ..relational.instance import Instance
 from ..stats import Statistics
-from .api import ExchangeRequest, ExchangeResponse, PartialSolution, ResumptionToken
+from .api import (
+    ExchangeRequest,
+    ExchangeResponse,
+    PartialSolution,
+    ResumptionToken,
+    settle,
+)
 from .streaming import (
     DEFAULT_CHUNK_FACTS,
     FactChunk,
     StreamingSolution,
-    StreamSession,
-    exchange_payload,
+    fact_chunks,
+    request_payload,
 )
 from .tenancy import DEFAULT_TENANT, FairShareGate, ServiceOverloaded, TenantQuota
 
@@ -79,10 +83,106 @@ __all__ = [
     "ExchangeResponse",
     "ExchangeService",
     "PartialSolution",
+    "RequestPlan",
     "ResumptionToken",
     "ServiceOverloaded",
     "TenantQuota",
 ]
+
+
+class RequestPlan:
+    """One admitted request on its way through the exchange core.
+
+    :attr:`cached` is the cache's answer (``None`` on a miss or without
+    a cache).  Otherwise the front end runs the request — :meth:`run` in
+    process, or :meth:`payload` on a pool worker through
+    :func:`~repro.service.streaming.exchange_payload` — and hands the
+    outcome to :meth:`finish` (or :meth:`respond`).  :meth:`release`
+    frees the admission slot; a plan is also a context manager that
+    releases on exit.
+    """
+
+    def __init__(
+        self,
+        service: "ExchangeService",
+        request: ExchangeRequest,
+        options: ExchangeOptions,
+        admitted: bool,
+    ) -> None:
+        self.request = request
+        self.options = options
+        self.budget = options.budget()
+        self.started = time.perf_counter()
+        self._service = service
+        self._admitted = admitted
+        token = request.token
+        resume = token is not None and token.resumable_in_place
+        self.partial = token.partial if resume else None
+        self._history = token.provenance if resume else None
+        engine = service.engine
+        self.cached, self._keep = through_cache(
+            None if resume else engine.cache,
+            engine.fingerprint,
+            request.source,
+            engine.backend,
+            options.wants_provenance,
+        )
+
+    def run(self) -> Outcome:
+        """Run the request through the exchange core, in this process."""
+        log = None
+        if self.options.wants_provenance:
+            # A continuation extends the interrupted history in step order.
+            history = self._history
+            log = ProvenanceLog() if history is None else history.copy()
+        engine = self._service.engine
+        return execute(
+            engine.mapping,
+            self.request.source,
+            self.options,
+            self.budget,
+            provenance=log,
+            backend=engine.backend,
+            partial=self.partial,
+        )
+
+    def payload(self) -> dict[str, Any]:
+        """The request as a pool payload (deadline measured from now)."""
+        engine = self._service.engine
+        return request_payload(
+            engine.mapping, self.request, self.options, engine.backend
+        )
+
+    def finish(self, outcome: Outcome) -> Instance | Solution | PartialSolution:
+        """Store a fresh outcome in the cache and settle it into a result."""
+        return settle(
+            self._keep(outcome),
+            source=self.request.source,
+            mapping_fingerprint=self._service.engine.fingerprint,
+            options=self.options,
+            budget=self.budget,
+        )
+
+    def respond(self, outcome: Outcome) -> ExchangeResponse:
+        """:meth:`finish`, as the uniform :class:`ExchangeResponse`."""
+        return ExchangeResponse.from_result(
+            self.finish(outcome),
+            tenant=self.request.tenant,
+            request_id=self.request.request_id,
+            elapsed_seconds=time.perf_counter() - self.started,
+        )
+
+    def release(self) -> None:
+        """Give the admission slot back (idempotent)."""
+        if self._admitted:
+            self._admitted = False
+            self._service.gate.release(self.request.tenant, 1)
+
+    def __enter__(self) -> "RequestPlan":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.release()
 
 
 class ExchangeService:
@@ -98,17 +198,17 @@ class ExchangeService:
     The redesigned surface speaks request/response objects —
     :meth:`request` for one-shot answers, :meth:`stream` for chunked
     delivery — while :meth:`exchange` / :meth:`exchange_many` /
-    :meth:`resume` remain as the thin positional forms.  Admission
+    :meth:`resume` remain as the thin positional forms.  Every one of
+    them, and the HTTP server, admits through :meth:`plan`.  Admission
     control is per tenant: pass ``quotas`` to guarantee configured
     tenants their weighted share of ``max_in_flight`` (see
     :mod:`repro.service.tenancy`).
 
     The service is thread-safe at the admission-control boundary; the
-    underlying chase runs one request per call, in process.  *breaker*
-    (default: a fresh :class:`~repro.exec.retry.CircuitBreaker`) and
-    ``options.retry`` guard the worker pool of an HTTP server over this
-    service.  Use it as a context manager to guarantee worker-pool
-    shutdown.
+    library entry points run one request per call, in process.
+    *breaker* (default: a fresh
+    :class:`~repro.exec.retry.CircuitBreaker`) and ``options.retry``
+    guard the worker pool of an HTTP server over this service.
     """
 
     def __init__(
@@ -130,8 +230,6 @@ class ExchangeService:
         )
         self._breaker = breaker if breaker is not None else CircuitBreaker()
         self._gate = FairShareGate(max_in_flight, quotas)
-        self._mapping_fingerprint = mapping_fingerprint(mapping)
-        self._closed = False
 
     # -- introspection -------------------------------------------------------
 
@@ -168,15 +266,42 @@ class ExchangeService:
     # -- lifecycle -----------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the engine's worker pool down (idempotent)."""
-        self._closed = True
-        self._engine.close()
+        """Nothing to release: the service holds no processes (the HTTP
+        server owns the worker pool).  Kept so callers close uniformly."""
 
     def __enter__(self) -> "ExchangeService":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+    # -- admission: the step every entry point takes ------------------------
+
+    def plan(self, request: ExchangeRequest, *, admit: bool = True) -> RequestPlan:
+        """Check, admit and count one request; look it up in the cache.
+
+        Raises ``ValueError`` when the request's token is for another
+        mapping or source, or its options change a server-side field
+        (``workers``, ``cache``, ``backend``, ``retry``), and
+        :class:`ServiceOverloaded` when admission fails.  Counts
+        ``service.requests`` (and ``service.resumptions`` for tokens).
+        *admit* false skips admission for a request whose slot the caller
+        already holds.
+        """
+        options = self._options.admit_request(request.options)
+        token = request.token
+        if token is not None:
+            if token.mapping_fingerprint != self._engine.fingerprint:
+                raise ValueError("resumption token is for a different mapping")
+            if token.source_fingerprint != request.source.fingerprint():
+                raise ValueError("resumption token is for a different source")
+        if admit:
+            self._gate.admit(request.tenant, 1)
+        registry = get_registry()
+        registry.increment("service.requests")
+        if token is not None:
+            registry.increment("service.resumptions")
+        return RequestPlan(self, request, options, admit)
 
     # -- the request/response API -------------------------------------------
 
@@ -188,22 +313,8 @@ class ExchangeService:
         exactly as in :meth:`exchange` — the response's ``status`` says
         which way it went.
         """
-        opts = request.options if request.options is not None else self._options
-        started = time.perf_counter()
-        if request.token is not None:
-            result = self.resume(
-                request.source, request.token, options=opts, tenant=request.tenant
-            )
-        else:
-            result = self.exchange(
-                request.source, options=opts, tenant=request.tenant
-            )
-        return ExchangeResponse.from_result(
-            result,
-            tenant=request.tenant,
-            request_id=request.request_id,
-            elapsed_seconds=time.perf_counter() - started,
-        )
+        with self.plan(request) as plan:
+            return plan.respond(self._run(plan))
 
     def stream(
         self,
@@ -215,54 +326,29 @@ class ExchangeService:
 
         Returns a :class:`~repro.service.streaming.StreamingSolution`;
         iterate it for :class:`~repro.service.streaming.FactChunk`\\ s
-        (the payload runs in process), then read ``.response`` for the
+        (the request runs in process), then read ``.response`` for the
         final status/token.  Admission happens here, up front; the slot is
         held until the stream is drained or dropped.
         """
-        opts = request.options if request.options is not None else self._options
-        if request.token is not None:
-            self._check_token(request.source, request.token)
-        self._gate.admit(request.tenant, 1)
-        started = time.perf_counter()
-        try:
-            session = StreamSession(
-                self.mapping,
-                request,
-                opts,
-                mapping_fingerprint=self._mapping_fingerprint,
-                chunk_facts=chunk_facts,
-            )
-        except BaseException:
-            self._gate.release(request.tenant, 1)
-            raise
-        return StreamingSolution(self._stream_chunks(request, session, started))
+        if chunk_facts < 1:
+            raise ValueError(f"chunk_facts must be >= 1, got {chunk_facts}")
+        plan = self.plan(request)
+        return StreamingSolution(self._stream_chunks(plan, chunk_facts))
 
     def _stream_chunks(
-        self, request: ExchangeRequest, session: StreamSession, started: float
+        self, plan: RequestPlan, chunk_facts: int
     ) -> Iterator[FactChunk]:
-        registry = get_registry()
-        try:
-            with get_tracer().span(
-                "service.stream",
-                tenant=request.tenant,
-                payloads=len(session.payloads),
-                source_facts=request.source.size(),
-            ) as span:
-                registry.increment("service.requests")
-                registry.increment("service.streams")
-                for index, payload in enumerate(session.payloads):
-                    yield from session.chunks(index, exchange_payload(payload))
-                span.set(target_facts=session.fact_count)
-            response = session.response(
-                elapsed_seconds=time.perf_counter() - started
-            )
-            if not response.complete:
-                registry.increment("service.degraded")
-                if response.violated:
-                    registry.increment(f"service.{response.violated}_exceeded")
-            return response  # noqa: B901 — StreamingSolution reads StopIteration.value
-        finally:
-            self._gate.release(request.tenant, 1)
+        with plan, get_tracer().span(
+            "service.stream",
+            tenant=plan.request.tenant,
+            payloads=1,
+            source_facts=plan.request.source.size(),
+        ) as span:
+            get_registry().increment("service.streams")
+            response = plan.respond(plan.cached or plan.run())
+            yield from fact_chunks(response.facts, chunk_facts)
+            span.set(target_facts=response.facts.size())
+        return response  # noqa: B901 — StreamingSolution reads StopIteration.value
 
     # -- exchange ------------------------------------------------------------
 
@@ -282,11 +368,8 @@ class ExchangeService:
         (:class:`~repro.mapping.chase.ChaseFailure` — the mapping has no
         solution) still raise, because no amount of budget fixes them.
         """
-        self._gate.admit(tenant, 1)
-        try:
-            return self._exchange_admitted(source, options or self._options)
-        finally:
-            self._gate.release(tenant, 1)
+        with self.plan(ExchangeRequest(source, tenant, options)) as plan:
+            return plan.finish(self._run(plan))
 
     def exchange_many(
         self,
@@ -304,143 +387,42 @@ class ExchangeService:
         callers can safely retry it elsewhere.
         """
         batch = list(sources)
-        opts = options or self._options
-        self._gate.admit(tenant, max(1, len(batch)))
+        units = max(1, len(batch))
+        self._gate.admit(tenant, units)
         try:
             with get_tracer().span(
                 "service.batch", sources=len(batch), tenant=tenant
             ) as span:
-                results = [self._exchange_admitted(s, opts) for s in batch]
+                results = []
+                for source in batch:
+                    request = ExchangeRequest(source, tenant, options)
+                    plan = self.plan(request, admit=False)
+                    results.append(plan.finish(self._run(plan)))
                 degraded = sum(
                     1 for r in results if isinstance(r, PartialSolution)
                 )
                 span.set(degraded=degraded)
             return results
         finally:
-            self._gate.release(tenant, max(1, len(batch)))
+            self._gate.release(tenant, units)
 
-    def _exchange_admitted(
-        self, source: Instance, opts: ExchangeOptions
-    ) -> Instance | Solution | PartialSolution:
-        registry = get_registry()
-        budget = opts.budget()
-        store = resolve_provenance(opts.provenance)
-        with get_tracer().span(
-            "service.exchange", source_facts=source.size()
-        ) as span:
-            registry.increment("service.requests")
-            try:
-                solution = self._run(source, opts, budget, store)
-            except BudgetExceeded as exc:
-                return self._degrade(
-                    source,
-                    exc.violated,
-                    exc.partial,
-                    exc.statistics,
-                    exc.phase or "st_tgds",
-                    span,
-                    provenance=self._partial_provenance(exc, store),
+    def _run(self, plan: RequestPlan) -> Outcome:
+        """The plan's outcome, in process, under a ``service.*`` span."""
+        request = plan.request
+        name = "service.resume" if request.token is not None else "service.exchange"
+        with get_tracer().span(name, source_facts=request.source.size()) as span:
+            outcome = plan.cached or plan.run()
+            if outcome.status == "partial":
+                span.set(
+                    degraded=outcome.violated,
+                    phase=outcome.phase,
+                    partial_facts=outcome.solution.size(),
                 )
-            except ChaseNonTermination as exc:
-                return self._degrade(
-                    source,
-                    "max_steps",
-                    exc.partial,
-                    exc.statistics,
-                    "target_dependencies",
-                    span,
-                    provenance=self._partial_provenance(exc, store),
-                )
-            self._observe_remaining(budget, solution)
-            span.set(target_facts=solution.size())
-            if store.enabled:
-                return Solution(solution, store, source)
-            return solution
-
-    @staticmethod
-    def _partial_provenance(
-        exc: BaseException, store
-    ) -> ProvenanceLog | None:
-        """The lineage recorded before *exc* interrupted the request.
-
-        The chase attaches its store to the exception, which wins over
-        the request store; a cached path may not have absorbed into the
-        request store yet.
-        """
-        attached = getattr(exc, "provenance", None)
-        if attached is not None:
-            return attached
-        return store if store.enabled else None
-
-    def _run(
-        self,
-        source: Instance,
-        opts: ExchangeOptions,
-        budget: Budget | None,
-        provenance,
-    ) -> Instance:
-        backend_plan = self._engine.backend_plan
-        if (
-            backend_plan is not None
-            and backend_plan.ready
-            and not provenance.enabled
-        ):
-            # The SQL backend honours the same budget (phase boundaries
-            # plus per-tgd checks), so BudgetExceeded degrades exactly
-            # like the interpreted paths.  Provenance requests never
-            # reach here: plan_backend already fell back for them.
-            return backend_plan.backend.exchange(source, budget)
-        executor = self._engine.executor
-        if executor is not None:
-            return executor.exchange(source, budget, provenance)
-        return exchange_in_process(
-            self.mapping, source, opts.max_steps, budget, provenance
-        )
-
-    def _degrade(
-        self,
-        source: Instance,
-        violated: str,
-        partial: Instance | None,
-        statistics: ChaseStatistics | None,
-        phase: str,
-        span,
-        provenance: ProvenanceLog | None = None,
-    ) -> PartialSolution:
-        registry = get_registry()
-        registry.increment("service.degraded")
-        registry.increment(f"service.{violated}_exceeded")
-        if partial is None:
-            partial = Instance(self.mapping.target, [])
-        token = ResumptionToken(
-            mapping_fingerprint=self._mapping_fingerprint,
-            source_fingerprint=source.fingerprint(),
-            phase=phase,
-            partial=partial,
-            provenance=provenance.copy() if provenance is not None else None,
-        )
-        span.set(degraded=violated, phase=phase, partial_facts=partial.size())
-        return PartialSolution(partial, violated, statistics, token, provenance)
-
-    def _observe_remaining(self, budget: Budget | None, solution: Instance) -> None:
-        """Budget headroom histograms: how close successful requests cut it."""
-        if budget is None:
-            return
-        registry = get_registry()
-        remaining_seconds = budget.remaining_seconds()
-        if remaining_seconds is not None:
-            registry.observe("service.budget.remaining_seconds", remaining_seconds)
-        remaining_facts = budget.remaining_facts(solution.size())
-        if remaining_facts is not None:
-            registry.observe("service.budget.remaining_facts", remaining_facts)
+            else:
+                span.set(target_facts=outcome.solution.size())
+            return outcome
 
     # -- resumption ----------------------------------------------------------
-
-    def _check_token(self, source: Instance, token: ResumptionToken) -> None:
-        if token.mapping_fingerprint != self._mapping_fingerprint:
-            raise ValueError("resumption token is for a different mapping")
-        if token.source_fingerprint != source.fingerprint():
-            raise ValueError("resumption token is for a different source")
 
     def resume(
         self,
@@ -465,54 +447,5 @@ class ExchangeService:
         """
         if not isinstance(token, ResumptionToken):
             token = ResumptionToken.from_json(token)
-        self._check_token(source, token)
-        opts = options or self._options
-        get_registry().increment("service.resumptions")
-        if not token.resumable_in_place:
-            return self.exchange(source, options=opts, tenant=tenant)
-        self._gate.admit(tenant, 1)
-        try:
-            budget = opts.budget()
-            store = resolve_provenance(opts.provenance)
-            if store.enabled and token.provenance is not None:
-                # Continue the interrupted history: the token's snapshot
-                # seeds the store and new records extend it in step order.
-                store.absorb(token.provenance)
-            with get_tracer().span(
-                "service.resume", partial_facts=token.partial.size()
-            ) as span:
-                try:
-                    solution = chase_target_dependencies(
-                        token.partial,
-                        self.mapping.target_dependencies,
-                        options=opts,
-                        budget=budget,
-                        provenance=store,
-                    )
-                except BudgetExceeded as exc:
-                    return self._degrade(
-                        source,
-                        exc.violated,
-                        exc.partial if exc.partial is not None else token.partial,
-                        exc.statistics,
-                        "target_dependencies",
-                        span,
-                        provenance=self._partial_provenance(exc, store),
-                    )
-                except ChaseNonTermination as exc:
-                    return self._degrade(
-                        source,
-                        "max_steps",
-                        exc.partial if exc.partial is not None else token.partial,
-                        exc.statistics,
-                        "target_dependencies",
-                        span,
-                        provenance=self._partial_provenance(exc, store),
-                    )
-                self._observe_remaining(budget, solution)
-                span.set(target_facts=solution.size())
-                if store.enabled:
-                    return Solution(solution, store, source)
-                return solution
-        finally:
-            self._gate.release(tenant, 1)
+        with self.plan(ExchangeRequest(source, tenant, options, token)) as plan:
+            return plan.finish(self._run(plan))

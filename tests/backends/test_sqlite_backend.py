@@ -209,6 +209,19 @@ class TestCore:
             "extract",
         }
 
+    def test_pickled_backend_gives_the_same_core(self, join_setup):
+        # The HTTP server ships the ready backend to its pool workers.
+        import pickle
+
+        from repro.backends.sql import OFFSET
+
+        mapping, source = join_setup
+        program, _ = compile_mapping(mapping)
+        backend = SqliteBackend(mapping, program)
+        shipped = pickle.loads(pickle.dumps(backend))
+        assert pickle.loads(pickle.dumps(OFFSET)) is OFFSET
+        assert canonically_equal(shipped.exchange(source), backend.exchange(source))
+
     def test_source_nulls_revoke_core_claim(self):
         src = schema(relation("Emp", "n"))
         tgt = schema(relation("Person", "n"))

@@ -1,4 +1,4 @@
-"""Tests for the engine's parallel-executor and cache knobs."""
+"""Tests for the engine's exchange-core knobs (workers, cache)."""
 
 from repro.compiler import ExchangeEngine
 from repro.options import ExchangeOptions
@@ -32,45 +32,37 @@ def clustered_source(employees=8, depts=4):
 class TestEngineKnobs:
     def test_default_compile_has_no_executor(self):
         engine = ExchangeEngine.compile(join_mapping())
-        assert engine.executor is None
-        engine.close()  # no-op, must not raise
+        assert engine.cache is None
+        assert not engine.runs_core  # exchange is exactly lens.get
 
     def test_workers_knob_routes_exchange_through_executor(self):
         engine = ExchangeEngine.compile(
             join_mapping(),
             options=ExchangeOptions(workers=2),
         )
-        try:
-            source = clustered_source()
-            result = engine.exchange(source)
-            assert canonically_equal(
-                result, universal_solution(engine.mapping, source)
-            )
-            # chase solution ≡ lens view up to homomorphic equivalence
-            assert homomorphically_equivalent(result, engine.lens.get(source))
-        finally:
-            engine.close()
+        assert engine.runs_core
+        source = clustered_source()
+        result = engine.exchange(source)
+        assert canonically_equal(
+            result, universal_solution(engine.mapping, source)
+        )
+        # chase solution ≡ lens view up to homomorphic equivalence
+        assert homomorphically_equivalent(result, engine.lens.get(source))
 
     def test_cache_knob_alone_enables_executor(self):
         engine = ExchangeEngine.compile(join_mapping(), options=ExchangeOptions(cache=4))
-        try:
-            assert engine.executor is not None
-            assert engine.executor.workers == 1
-            source = clustered_source()
-            first = engine.exchange(source)
-            assert engine.exchange(source) is first
-            assert engine.executor.cache.hits == 1
-        finally:
-            engine.close()
+        assert engine.cache is not None
+        assert engine.options.workers is None
+        source = clustered_source()
+        first = engine.exchange(source)
+        assert engine.exchange(source) is first
+        assert engine.cache.hits == 1
 
     def test_cache_accepts_prebuilt_object(self):
         cache = ExchangeCache(capacity=2)
         engine = ExchangeEngine.compile(join_mapping(), options=ExchangeOptions(cache=cache))
-        try:
-            engine.exchange(clustered_source())
-            assert len(cache) == 1
-        finally:
-            engine.close()
+        engine.exchange(clustered_source())
+        assert len(cache) == 1
 
     def test_exchange_many_without_executor_matches_lens(self):
         engine = ExchangeEngine.compile(join_mapping())
@@ -82,9 +74,6 @@ class TestEngineKnobs:
 
     def test_put_back_unaffected_by_executor(self):
         engine = ExchangeEngine.compile(join_mapping(), options=ExchangeOptions(workers=2))
-        try:
-            source = clustered_source()
-            view = engine.lens.get(source)
-            assert engine.put_back(view, source) == source  # GetPut
-        finally:
-            engine.close()
+        source = clustered_source()
+        view = engine.lens.get(source)
+        assert engine.put_back(view, source) == source  # GetPut

@@ -1,20 +1,28 @@
-"""Tests for the exchange executor (repro.exec.parallel)."""
+"""Tests for the exchange core behind the service, the engine and the server.
 
+The cases once pinned the deleted ``ParallelExchange`` executor; they
+now drive the same behaviour through ``ExchangeService`` (cache,
+in-process chase) and ``ExchangeServer`` (the worker pool).
+"""
+
+import asyncio
 import importlib
 
 import pytest
 
 from repro import ExchangeOptions, ExchangeService, PartialSolution
-from repro.exec import ExchangeCache, ParallelExchange
+from repro.exec import ExchangeCache
 from repro.logic.parser import parse_conjunction
 from repro.logic.terms import Var
 from repro.mapping import SchemaMapping, universal_solution
 from repro.mapping.chase import chase
 from repro.mapping.dependencies import Egd
+from repro.obs import collecting
 from repro.relational import instance, relation, schema
 from repro.relational.canonical import canonically_equal
 from repro.relational.instance import Instance
 from repro.relational.values import LabeledNull, constant
+from repro.service.aserve import ExchangeServer
 
 
 SRC = schema(relation("Emp", "name", "dept"), relation("Dept", "dept", "head"))
@@ -43,9 +51,14 @@ chase_mod = importlib.import_module("repro.mapping.chase")
 
 @pytest.fixture(scope="module")
 def pool_executor():
-    """One 2-worker executor shared by the module."""
-    with ParallelExchange(join_mapping(), workers=2) as executor:
-        yield executor
+    """One ``workers=2`` service shared by the module."""
+    with ExchangeService(join_mapping(), ExchangeOptions(workers=2)) as service:
+        yield service
+
+
+def spawned_pool(registry):
+    """Whether a worker pool started while *registry* was collecting."""
+    return "exchange.pool.startup_seconds" in registry.snapshot()["histograms"]
 
 
 @pytest.fixture
@@ -103,76 +116,82 @@ class TestSerialFallbacks:
         egd = Egd(parse_conjunction("Office(n, h, m), Office(n, h2, m2)"),
                   Var("h"), Var("h2"))
         mapping = join_mapping([egd])
-        executor = ParallelExchange(mapping, workers=4)
         source = clustered_source(employees=6, depts=2)
-        assert canonically_equal(
-            executor.exchange(source), universal_solution(mapping, source)
-        )
-        assert executor._pool is None  # never started a pool
+        with collecting() as registry:
+            with ExchangeService(mapping, ExchangeOptions(workers=4)) as service:
+                result = service.exchange(source)
+        assert canonically_equal(result, universal_solution(mapping, source))
+        assert not spawned_pool(registry)  # never started a pool
 
     def test_workers_one_stays_serial(self):
-        executor = ParallelExchange(join_mapping(), workers=1)
         source = clustered_source(employees=4, depts=2)
-        result = executor.exchange(source)
+        with collecting() as registry:
+            with ExchangeService(join_mapping(), ExchangeOptions(workers=1)) as service:
+                result = service.exchange(source)
         assert canonically_equal(
             result, universal_solution(join_mapping(), source)
         )
-        assert executor._pool is None
+        assert not spawned_pool(registry)
 
-    def test_default_workers_is_one(self):
-        assert ParallelExchange(join_mapping()).workers == 1
+    def test_server_pool_defaults_to_two_workers(self):
+        with ExchangeService(join_mapping()) as service:
+            assert ExchangeServer(service).workers == 2
+        with ExchangeService(join_mapping(), ExchangeOptions(workers=3)) as service:
+            assert ExchangeServer(service).workers == 3
 
 
 class TestCacheIntegration:
     def test_repeat_source_hits_cache(self):
-        with ParallelExchange(join_mapping(), workers=1, cache=4) as executor:
+        with ExchangeService(join_mapping(), ExchangeOptions(cache=4)) as service:
             source = clustered_source(employees=4, depts=2)
-            first = executor.exchange(source)
-            second = executor.exchange(source)
+            first = service.exchange(source)
+            second = service.exchange(source)
             assert second is first
-            assert executor.cache.hits == 1
-            assert executor.cache.misses == 1
+            assert service.engine.cache.hits == 1
+            assert service.engine.cache.misses == 1
 
     def test_equal_instances_share_entry(self):
-        with ParallelExchange(join_mapping(), workers=1, cache=4) as executor:
+        with ExchangeService(join_mapping(), ExchangeOptions(cache=4)) as service:
             a = clustered_source(employees=4, depts=2)
             b = clustered_source(employees=4, depts=2)  # equal, distinct object
-            assert executor.exchange(a) is executor.exchange(b)
+            assert service.exchange(a) is service.exchange(b)
 
     def test_cache_object_can_be_shared(self):
         cache = ExchangeCache(capacity=8)
-        with ParallelExchange(join_mapping(), workers=1, cache=cache) as executor:
-            assert executor.cache is cache
-            executor.exchange(clustered_source(employees=4, depts=2))
+        with ExchangeService(join_mapping(), ExchangeOptions(cache=cache)) as service:
+            assert service.engine.cache is cache
+            service.exchange(clustered_source(employees=4, depts=2))
         assert len(cache) == 1
 
     def test_exchange_many_counts_hits(self):
-        with ParallelExchange(join_mapping(), workers=1, cache=4) as executor:
+        with ExchangeService(join_mapping(), ExchangeOptions(cache=4)) as service:
             source = clustered_source(employees=4, depts=2)
-            executor.exchange_many([source, source, source])
-            assert executor.cache.hits == 2
-            assert executor.cache.misses == 1
+            service.exchange_many([source, source, source])
+            assert service.engine.cache.hits == 2
+            assert service.engine.cache.misses == 1
 
 
 class TestLifecycle:
     def test_close_is_idempotent(self):
-        executor = ParallelExchange(join_mapping(), workers=2)
-        pool = executor.ensure_pool()
-        assert executor.ensure_pool() is pool
-        executor.close()
-        executor.close()
-        # asking again restarts the pool transparently
-        assert executor.ensure_pool() is not pool
-        executor.close()
+        with ExchangeService(join_mapping(), ExchangeOptions(workers=2)) as service:
+            server = ExchangeServer(service)
+            pool = server.ensure_pool()
+            assert server.ensure_pool() is pool
+            asyncio.run(server.aclose())
+            asyncio.run(server.aclose())
+            # asking again restarts the pool transparently
+            assert server.ensure_pool() is not pool
+            asyncio.run(server.aclose())
 
     def test_discard_pool_only_reaps_the_current_pool(self):
-        executor = ParallelExchange(join_mapping(), workers=1)
-        stale = executor.ensure_pool()
-        assert executor.discard_pool(stale)
-        fresh = executor.ensure_pool()
-        assert not executor.discard_pool(stale)  # already replaced
-        assert executor.ensure_pool() is fresh
-        executor.close()
+        with ExchangeService(join_mapping(), ExchangeOptions(workers=1)) as service:
+            server = ExchangeServer(service)
+            stale = server.ensure_pool()
+            assert server.discard_pool(stale)
+            fresh = server.ensure_pool()
+            assert not server.discard_pool(stale)  # already replaced
+            assert server.ensure_pool() is fresh
+            asyncio.run(server.aclose())
 
 
 class TestInProcessExchange:
@@ -193,7 +212,7 @@ class TestInProcessExchange:
     def test_no_executor_branch_takes_the_id_path(self, spy):
         source = clustered_source()
         with ExchangeService(join_mapping()) as service:
-            assert service.engine.executor is None
+            assert service.engine.cache is None
             result = service.exchange(source)
         assert spy["engaged"] is True
         assert result.same_facts(chase(join_mapping(), clustered_source()).solution)

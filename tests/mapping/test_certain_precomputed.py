@@ -48,13 +48,13 @@ class TestPrecomputedSolution:
             ) == certain_answers(mapping, source, query, head)
 
     def test_executor_solution_is_acceptable(self):
-        from repro.exec import ParallelExchange
+        from repro import ExchangeEngine, ExchangeOptions
 
         mapping, source = setting()
-        with ParallelExchange(mapping, workers=1, cache=2) as executor:
-            solution = executor.exchange(source)
-            query = parse_conjunction("Office(n, h, m)")
-            head = [Var("n"), Var("h")]
-            assert certain_answers(
-                mapping, source, query, head, solution=solution
-            ) == certain_answers(mapping, source, query, head)
+        engine = ExchangeEngine.compile(mapping, options=ExchangeOptions(cache=2))
+        solution = engine.exchange(source)
+        query = parse_conjunction("Office(n, h, m)")
+        head = [Var("n"), Var("h")]
+        assert certain_answers(
+            mapping, source, query, head, solution=solution
+        ) == certain_answers(mapping, source, query, head)

@@ -1,8 +1,8 @@
 """Replay verification: recorded lineage re-derives the solution.
 
-The acceptance property of the provenance subsystem: for every executor
-path — serial chase, the executor, cache hit, budget-interrupted service
-resume — :func:`repro.provenance.replay` re-fires every recorded
+The acceptance property of the provenance subsystem: for every execution
+path — serial chase, the service's exchange core, cache hit,
+budget-interrupted service resume — :func:`repro.provenance.replay` re-fires every recorded
 rule on its recorded justifying facts and confirms each solution fact
 comes back, through every null relabeling and egd rewrite in between.
 """
@@ -12,7 +12,6 @@ import dataclasses
 import pytest
 
 from repro import ExchangeOptions, ExchangeService, PartialSolution, SchemaMapping
-from repro.exec import ParallelExchange
 from repro.logic.parser import parse_rule
 from repro.mapping import chase
 from repro.mapping.dependencies import target_dependency_from_rule
@@ -99,8 +98,9 @@ class TestExecutorReplay:
         mapping = join_mapping()
         source = clustered_source(employees=16, depts=4)
         store = ProvenanceLog()
-        with ParallelExchange(mapping, workers=2) as executor:
-            solution = executor.exchange(source, provenance=store)
+        options = ExchangeOptions(workers=2, provenance=store)
+        with ExchangeService(mapping, options) as service:
+            solution = service.exchange(source).instance
         assert len(store) > 0
         assert_replay_ok(solution, store, mapping, source)
         # Every invented null the log mentions exists in the solution.
@@ -112,11 +112,16 @@ class TestCachedReplay:
     def test_cache_hit_returns_replayable_lineage(self):
         mapping = join_mapping()
         source = clustered_source()
-        with ParallelExchange(mapping, workers=2, cache=4) as executor:
+        with ExchangeService(mapping, ExchangeOptions(workers=2, cache=4)) as service:
             first_store = ProvenanceLog()
-            first = executor.exchange(source, provenance=first_store)
+            first = service.exchange(
+                source, options=ExchangeOptions(provenance=first_store)
+            ).instance
             hit_store = ProvenanceLog()
-            hit = executor.exchange(source, provenance=hit_store)
+            hit = service.exchange(
+                source, options=ExchangeOptions(provenance=hit_store)
+            ).instance
+            assert service.engine.cache.hits == 1
         assert first == hit
         assert_replay_ok(first, first_store, mapping, source)
         assert_replay_ok(hit, hit_store, mapping, source)
@@ -124,10 +129,12 @@ class TestCachedReplay:
     def test_provenance_less_entry_upgrades_on_demand(self):
         mapping = join_mapping()
         source = clustered_source()
-        with ParallelExchange(mapping, workers=2, cache=4) as executor:
-            executor.exchange(source)  # cached without provenance
+        with ExchangeService(mapping, ExchangeOptions(workers=2, cache=4)) as service:
+            service.exchange(source)  # cached without provenance
             store = ProvenanceLog()
-            solution = executor.exchange(source, provenance=store)
+            solution = service.exchange(
+                source, options=ExchangeOptions(provenance=store)
+            ).instance
         assert len(store) > 0
         assert_replay_ok(solution, store, mapping, source)
 
@@ -190,6 +197,6 @@ class TestDisabledMode:
         source = clustered_source(employees=4, depts=2)
         result = chase(mapping, source)  # provenance off
         assert not result.provenance.enabled
-        with ParallelExchange(mapping, workers=2) as executor:
-            solution = executor.exchange(source)
+        with ExchangeService(mapping, ExchangeOptions(workers=2)) as service:
+            solution = service.exchange(source)
         assert solution.size() == result.solution.size()

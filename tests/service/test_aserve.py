@@ -191,20 +191,26 @@ class TestPoolRecovery:
         source = simple_source(6)
         body = {"source": instance_to_json(source)}
 
-        async def go(client):
-            await client.exchange({**body, "stream": False})
-            # The server dispatches to the executor's pool (workers=2).
-            pool = service.engine.executor.ensure_pool()
-            os.kill(next(iter(pool._processes)), signal.SIGKILL)
-            await asyncio.sleep(0.2)
-            buffered = await client.exchange({**body, "stream": False})
-            streamed = await client.exchange({**body, "stream": True})
-            return buffered, streamed
+        async def go(service):
+            server = ExchangeServer(service, host="127.0.0.1", port=0)
+            await server.start()
+            try:
+                client = ExchangeClient("127.0.0.1", server.port)
+                await client.exchange({**body, "stream": False})
+                # The server dispatches to its own pool (workers=2).
+                pool = server.ensure_pool()
+                os.kill(next(iter(pool._processes)), signal.SIGKILL)
+                await asyncio.sleep(0.2)
+                buffered = await client.exchange({**body, "stream": False})
+                streamed = await client.exchange({**body, "stream": True})
+                return buffered, streamed
+            finally:
+                await server.aclose()
 
         options = ExchangeOptions(workers=2)
         with collecting() as registry:
             with ExchangeService(simple_mapping(), options) as service:
-                buffered, streamed = run(with_server(service, go))
+                buffered, streamed = run(go(service))
                 expected = service.exchange(source)
         assert buffered[0]["status"] == "complete"
         assert canonically_equal(instance_from_json(buffered[0]["facts"]), expected)

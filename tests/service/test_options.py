@@ -29,14 +29,12 @@ class TestExchangeOptions:
         assert opts.workers is None
         assert opts.max_steps == DEFAULT_MAX_STEPS
         assert not opts.budgeted
-        assert not opts.wants_executor
         assert opts.budget() is None
 
-    def test_budgeted_and_wants_executor(self):
+    def test_budgeted(self):
         assert ExchangeOptions(deadline=1.0).budgeted
         assert ExchangeOptions(max_facts=10).budgeted
-        assert ExchangeOptions(workers=2).wants_executor
-        assert ExchangeOptions(cache=8).wants_executor
+        assert not ExchangeOptions(workers=2, cache=8).budgeted
 
     def test_budget_is_fresh_per_call(self):
         opts = ExchangeOptions(deadline=1.0, max_facts=5)
@@ -98,13 +96,14 @@ class TestWireFormat:
 
     def test_round_trip_everything_set(self):
         opts = ExchangeOptions(
-            cache=16,
             max_steps=50,
             deadline=1.5,
             max_facts=100,
-            backend="sqlite",
             provenance=True,
         )
+        assert sorted(opts.as_dict()) == [
+            "deadline", "max_facts", "max_steps", "provenance",
+        ]
         clone = ExchangeOptions.from_dict(opts.as_dict())
         assert clone == opts
 
@@ -121,13 +120,17 @@ class TestWireFormat:
         with pytest.raises(ValueError, match="unknown option keys"):
             ExchangeOptions.from_dict({"min_parallel_facts": 0})
 
-    def test_live_cache_serializes_as_capacity(self):
+    def test_cache_and_backend_stay_server_side(self):
+        # The solution cache and the engine are the server's, like
+        # workers: the wire neither carries nor accepts them.
         from repro.exec.cache import ExchangeCache
 
-        opts = ExchangeOptions(cache=ExchangeCache(capacity=7))
+        opts = ExchangeOptions(cache=ExchangeCache(capacity=7), backend="sqlite")
         wire = opts.as_dict()
-        assert wire["cache"] == 7
-        assert ExchangeOptions.from_dict(wire).cache == 7
+        assert "cache" not in wire and "backend" not in wire
+        for key, value in (("cache", 7), ("backend", "sqlite")):
+            with pytest.raises(ValueError, match="unknown option keys"):
+                ExchangeOptions.from_dict({key: value})
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown"):
@@ -159,10 +162,7 @@ class TestMigrationComplete:
             engine = ExchangeEngine.compile(
                 example_mapping(), options=ExchangeOptions(workers=2)
             )
-        try:
-            assert engine.exchange(example_source()).size() == 2
-        finally:
-            engine.close()
+        assert engine.exchange(example_source()).size() == 2
 
     def test_chase_rejects_legacy_max_target_steps(self):
         with pytest.raises(TypeError):

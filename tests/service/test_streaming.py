@@ -6,10 +6,11 @@ import pytest
 
 from repro import ExchangeOptions, ExchangeService, StreamingSolution
 from repro.mapping import SchemaMapping
+from repro.obs import collecting
 from repro.relational import instance, relation, schema
 from repro.relational.canonical import canonically_equal
 from repro.service import ExchangeRequest, ServiceOverloaded
-from repro.service.streaming import FactChunk
+from repro.service.streaming import FactChunk, StreamSession, exchange_payload
 
 
 SRC = schema(relation("Emp", "name"))
@@ -80,13 +81,16 @@ class TestStreamingSolution:
     def test_stream_with_pool_options_is_one_unsplit_payload(self):
         options = ExchangeOptions(workers=2)
         source = simple_source(40)
-        with ExchangeService(simple_mapping(), options) as service:
+        with collecting() as registry, ExchangeService(
+            simple_mapping(), options
+        ) as service:
             stream = service.stream(ExchangeRequest(source=source))
             chunks = list(stream)
             assert stream.response.complete
             # workers sizes the server pool; a request is never split.
             assert {c.shard for c in chunks} == {-1}
-            assert service.engine.executor._pool is None
+            histograms = registry.snapshot()["histograms"]
+            assert "exchange.pool.startup_seconds" not in histograms
             expected = service.exchange(source)
         assert canonically_equal(stream.response.facts, expected)
 
@@ -127,3 +131,32 @@ class TestStreamingSolution:
             expected = service.exchange(source)
         assert stream.response.complete
         assert canonically_equal(stream.response.facts, expected)
+
+
+class TestStreamSession:
+    """The payload seam for callers that run payloads themselves."""
+
+    @pytest.mark.parametrize("max_facts", [None, 3])
+    def test_session_answers_like_request(self, max_facts):
+        source = simple_source(10)
+        options = ExchangeOptions(max_facts=max_facts)
+        with ExchangeService(simple_mapping(), options) as service:
+            request = ExchangeRequest(source=source, request_id="r-1")
+            session = StreamSession(
+                service.mapping,
+                request,
+                options,
+                mapping_fingerprint=service.engine.fingerprint,
+                chunk_facts=4,
+            )
+            assert len(session.payloads) == 1 and not session.sharded
+            chunks = list(session.chunks(0, exchange_payload(session.payloads[0])))
+            expected = service.request(request)
+        response = session.response()
+        summary = session.summary_dict()
+        assert response.status == expected.status
+        assert canonically_equal(response.facts, expected.facts)
+        assert session.fact_count == sum(len(c) for c in chunks)
+        assert summary["fact_count"] == session.fact_count
+        assert summary["kind"] == "summary" and summary["status"] == expected.status
+        assert (summary["token"] is None) == (max_facts is None)
