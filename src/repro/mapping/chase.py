@@ -497,7 +497,7 @@ def _chase_st_tgds_ids(
     raw_constants.extend(new_consts)
     labels = array("q", store.null_labels())
     labels.extend(fresh_labels)
-    result_store = ColumnStore._deferred(
+    result_store = ColumnStore(
         target_schema, raw_constants, labels, (), counts, columns_out
     )
     return Instance._from_store(target_schema, result_store)

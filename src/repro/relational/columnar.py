@@ -56,7 +56,7 @@ import struct
 from array import array
 from itertools import repeat
 from operator import add, attrgetter, floordiv, itemgetter, mod, mul
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
 from .schema import Schema
 from .values import (
@@ -127,6 +127,24 @@ def _raw_sort_key(raw: object) -> tuple:
     return (type(raw).__name__, repr(raw))
 
 
+def _nan_last(raw: float) -> tuple:
+    return (1, id(raw)) if raw != raw else (0, raw)
+
+
+def _sort_natively(group: list) -> None:
+    """Sort one orderable scalar type in place.
+
+    NaN compares false with everything, so a plain sort would leave the
+    result depending on the input order.  NaNs go last instead, each its
+    own value, ordered by identity: a single NaN sorts the same in every
+    process, and several sort the same for the same objects.
+    """
+    if isinstance(group[0], float) and any(raw != raw for raw in group):
+        group.sort(key=_nan_last)
+    else:
+        group.sort()
+
+
 def _sorted_constants(constants: list, kinds: set[type]) -> list:
     """Raw constants in :func:`value_sort_key` order.
 
@@ -134,7 +152,7 @@ def _sorted_constants(constants: list, kinds: set[type]) -> list:
     for non-orderable scalars), so each type-name group sorts natively.
     """
     if len(kinds) == 1 and issubclass(next(iter(kinds)), ORDERABLE_SCALARS):
-        constants.sort()
+        _sort_natively(constants)
         return constants
     groups: dict[str, list] = {}
     for raw in constants:
@@ -143,7 +161,7 @@ def _sorted_constants(constants: list, kinds: set[type]) -> list:
     for name in sorted(groups):
         group = groups[name]
         if all(isinstance(raw, ORDERABLE_SCALARS) for raw in group):
-            group.sort()
+            _sort_natively(group)
         else:
             group.sort(key=_raw_sort_key)
         ordered.extend(group)
@@ -201,18 +219,25 @@ class ColumnarFormatError(ValueError):
 class ColumnStore:
     """Columnar id-vector storage for one instance.
 
-    ``values`` maps ids to :class:`Value` objects (constants first,
-    labelled nulls, then Skolem values); ``rows[name]`` keeps the
-    relation's value-tuples in store order and ``columns[name]`` the
-    matching id vectors, so row ``i`` of relation ``R`` is
-    ``tuple(columns[R][c][i] for c in range(arity))`` in id space and
-    ``rows[R][i]`` in value space.
+    The value table is kept as raw parts — constants as raw scalars,
+    labelled nulls as bare labels, then Skolem values — and
+    ``columns[name]`` holds each relation's id vectors.  ``values`` (the
+    id → :class:`Value` table) and ``rows[name]`` (the relation's value
+    tuples in store order) materialize on first read, so row ``i`` of
+    relation ``R`` is ``tuple(columns[R][c][i] for c in range(arity))``
+    in id space and ``rows[R][i]`` in value space.  The id-space chase
+    (:mod:`repro.mapping.chase`), the flat-buffer decoder
+    (:func:`unpack_instance`) and the JSON decoder build stores this
+    way, and fingerprinting, packing and writing JSON never need value
+    objects at all.
 
     ``canonical`` stores additionally guarantee the value table is
     sorted by :func:`value_sort_key`, rows are sorted as id tuples, and
     the table holds exactly the instance's active domain — two equal
     instances build byte-identical canonical stores, which is what
     :meth:`digest` (and so ``Instance.fingerprint``) relies on.
+    *canonical* may be set when the caller knows the raw parts satisfy
+    that contract (e.g. a buffer whose header says ``canon: true``).
     """
 
     __slots__ = (
@@ -235,67 +260,27 @@ class ColumnStore:
     def __init__(
         self,
         schema: Schema,
-        values: list[Value],
-        constant_count: int,
-        labeled_count: int,
-        ids: dict,
-        rows: dict[str, list["Row"]],
-        columns: dict[str, tuple[array, ...]],
-        canonical: bool,
-    ) -> None:
-        self.schema = schema
-        self._table = values
-        self._lazy_parts: tuple | None = None
-        self.constant_count = constant_count
-        self.labeled_count = labeled_count
-        self._ids = ids
-        self._rows: dict[str, list["Row"]] | None = rows
-        self.counts: dict[str, int] = {name: len(r) for name, r in rows.items()}
-        self.columns = columns
-        self.canonical = canonical
-        self._indexes: dict[tuple[str, tuple[int, ...]], dict] = {}
-        self._used: list[int] | None = None
-        self._digest: str | None = None
-        self._packed: bytes | None = None
-
-    @classmethod
-    def _deferred(
-        cls,
-        schema: Schema,
         raw_constants: Sequence[object],
         labels: Sequence[int],
         skolems: Sequence[Value],
         counts: dict[str, int],
         columns: dict[str, tuple[array, ...]],
         canonical: bool = False,
-    ) -> "ColumnStore":
-        """A store whose value table and rows materialize on first use.
-
-        The id-space chase (:mod:`repro.mapping.chase`) assembles its
-        solutions entirely in id space, and the lazy decode
-        (:func:`unpack_instance_lazy`) never needs value tuples at all;
-        wrapping ~10⁴ raw scalars and null labels into :class:`Value`
-        objects — let alone value-tuple rows — is deferred until someone
-        actually reads them.  *canonical* may be set when the caller
-        knows the raw parts satisfy the canonical-store contract (e.g. a
-        buffer whose header says ``canon: true``).
-        """
-        self = object.__new__(cls)
+    ) -> None:
         self.schema = schema
-        self._table = None
+        self._table: list[Value] | None = None
         self._lazy_parts = (tuple(raw_constants), array("q", labels), tuple(skolems))
         self.constant_count = len(raw_constants)
         self.labeled_count = len(labels)
-        self._ids = None
-        self._rows = None
+        self._ids: dict | None = None
+        self._rows: dict[str, list["Row"]] | None = None
         self.counts = counts
         self.columns = columns
         self.canonical = canonical
-        self._indexes = {}
-        self._used = None
-        self._digest = None
-        self._packed = None
-        return self
+        self._indexes: dict[tuple[str, tuple[int, ...]], dict] = {}
+        self._used: list[int] | None = None
+        self._digest: str | None = None
+        self._packed: bytes | None = None
 
     @property
     def values(self) -> list[Value]:
@@ -310,33 +295,27 @@ class ColumnStore:
         return table
 
     def _ids_map(self) -> dict:
-        """The value → id map (materialized on first probe)."""
+        """The value → id map (materialized on first probe).
+
+        Keyed straight off the raw parts, so one constant peek doesn't
+        force the whole value table.
+        """
         ids = self._ids
         if ids is None:
-            if self._table is None:
-                # Deferred store: key straight off the raw parts so one
-                # constant peek doesn't force the whole value table.
-                raw_constants, labels, skolems = self._lazy_parts
-                ids = {raw: ident for ident, raw in enumerate(raw_constants)}
-                base = len(raw_constants)
-                for offset, label in enumerate(labels):
-                    ids[LabeledNull(label)] = base + offset
-                base += len(labels)
-                for offset, skolem in enumerate(skolems):
-                    ids[skolem] = base + offset
-            else:
-                ids = {}
-                for ident, value in enumerate(self._table):
-                    ids[value.value if type(value) is Constant else value] = ident
+            raw_constants, labels, skolems = self._lazy_parts
+            ids = {raw: ident for ident, raw in enumerate(raw_constants)}
+            base = len(raw_constants)
+            for offset, label in enumerate(labels):
+                ids[LabeledNull(label)] = base + offset
+            base += len(labels)
+            for offset, skolem in enumerate(skolems):
+                ids[skolem] = base + offset
             self._ids = ids
         return ids
 
     @property
     def rows(self) -> dict[str, list["Row"]]:
-        """Each relation's value-tuple rows in store order.
-
-        Deferred stores build them from the columns on first access.
-        """
+        """Each relation's value-tuple rows in store order (built on first access)."""
         rows = self._rows
         if rows is None:
             rows = {name: self._materialize_rows(name) for name in self.columns}
@@ -362,13 +341,47 @@ class ColumnStore:
         """The canonical columnar form of *instance*, built column at a time.
 
         Each relation column is unwrapped once to raw scalars (labelled
-        nulls and Skolem values stay as value objects), the active domain
-        is collected as a set of raws and sorted into
-        :func:`value_sort_key` order — constants per type-name group,
-        natively — and every column maps to ids through one C-speed
-        ``map`` over the value → id dict.  Rows sort as id tuples.  The
-        result is a deferred store: its value table stays as raw parts
-        until someone reads :attr:`values`.
+        nulls and Skolem values stay as value objects) and handed to
+        :meth:`from_raw_columns`, the build step the JSON decoder
+        (:func:`~repro.relational.serialization.instance_from_json`)
+        shares.
+        """
+        unwrap = attrgetter("value")
+
+        def raw_column(rows, position: int) -> list:
+            column = list(map(itemgetter(position), rows))
+            try:
+                return list(map(unwrap, column))
+            except AttributeError:  # the column holds a null-like value
+                return [v.value if type(v) is Constant else v for v in column]
+
+        def relations():
+            for name in instance.relation_names():
+                rows = instance.rows(name)
+                positions = range(instance.schema[name].arity if rows else 0)
+                yield name, len(rows), (raw_column(rows, p) for p in positions)
+
+        return cls.from_raw_columns(instance.schema, relations())[0]
+
+    @classmethod
+    def from_raw_columns(
+        cls,
+        schema: Schema,
+        relations: Iterable[tuple[str, int, Iterable[Sequence]]],
+    ) -> tuple["ColumnStore", bool]:
+        """The canonical store over raw columns: ``(store, merged)``.
+
+        *relations* yields ``(name, row count, columns)`` for every
+        relation of *schema*, each column a sequence of cells (raw
+        scalars for constants, :class:`LabeledNull`/:class:`SkolemValue`
+        objects for nulls; no column for an empty or zero-arity
+        relation).  Rows must be distinct.  The active domain is
+        collected as a set of raws, column by column as they arrive, and
+        sorted into :func:`value_sort_key` order — constants per
+        type-name group, natively — and every column maps to ids through
+        one C-speed ``map`` over the value → id dict.  Rows sort as id
+        tuples.  The value table stays as raw parts until someone reads
+        :attr:`values`.
 
         Constants that compare equal but differ in type or print
         (``1``, ``1.0``, ``True``; ``0.0``, ``-0.0``) share one id, and
@@ -376,28 +389,21 @@ class ColumnStore:
         (``True`` before ``1.0`` before ``1``), ties broken by ``repr``.
         The table, and so the digest, then does not depend on set
         iteration order or the hash seed.  Only domains that can hold
-        such a group pay for the cell scan that picks it.
+        such a group (or Skolem values over one) pay for the cell scan
+        that picks it; ``merged`` says whether it ran, i.e. whether the
+        table may print some cell differently from the raw it came from.
         """
-        schema = instance.schema
-        unwrap = attrgetter("value")
-        raw_columns: dict[str, list[list]] = {}
+        raw_columns: dict[str, list[Sequence]] = {}
         counts: dict[str, int] = {}
         domain: set = set()
         kinds: set[type] = set()
-        for name in instance.relation_names():
-            rows = instance.rows(name)
-            counts[name] = len(rows)
-            raws = []
-            for position in range(schema[name].arity if rows else 0):
-                column = list(map(itemgetter(position), rows))
-                try:
-                    raw = list(map(unwrap, column))
-                except AttributeError:  # the column holds a null-like value
-                    raw = [v.value if type(v) is Constant else v for v in column]
+        for name, count, cells in relations:
+            counts[name] = count
+            raws = raw_columns[name] = []
+            for raw in cells:
                 kinds.update(map(type, raw))
                 domain.update(raw)
                 raws.append(raw)
-            raw_columns[name] = raws
 
         constant_kinds = kinds - _NULL_KINDS
         if kinds & _NULL_KINDS:
@@ -405,11 +411,13 @@ class ColumnStore:
             labels = sorted(v.label for v in domain if type(v) is LabeledNull)
         else:
             constants, labels = list(domain), []
-        if _ambiguous(constant_kinds, domain):
+        merged = _ambiguous(constant_kinds, domain)
+        if merged:
             constants = _representatives(raw_columns, constants=True)
         constants = _sorted_constants(constants, constant_kinds)
         skolems = []
         if SkolemValue in kinds:
+            merged = True
             skolems = sorted(
                 _representatives(raw_columns, constants=False), key=value_sort_key
             )
@@ -431,11 +439,9 @@ class ColumnStore:
                 columns[name] = tuple(sort_id_columns(id_columns, table_size, code))
             else:  # empty or zero-arity relation
                 columns[name] = tuple(array(code) for _ in range(schema[name].arity))
-        store = cls._deferred(
-            schema, constants, labels, skolems, counts, columns, canonical=True
-        )
+        store = cls(schema, constants, labels, skolems, counts, columns, canonical=True)
         store._ids = ids
-        return store
+        return store, merged
 
     # -- structure ---------------------------------------------------------
 
@@ -445,40 +451,28 @@ class ColumnStore:
 
     def table_size(self) -> int:
         """Number of value-table entries, without materializing the table."""
-        if self._table is not None:
-            return len(self._table)
         raw_constants, labels, skolems = self._lazy_parts
         return len(raw_constants) + len(labels) + len(skolems)
 
     def raw_constants(self) -> list:
         """The constant region as raw scalars (no :class:`Value` built).
 
-        Deferred stores answer from their raw parts; table-backed stores
-        unwrap.  The chase's id-space fast path copies this list as the
-        constant region of its result store.
+        The chase's id-space fast path copies this list as the constant
+        region of its result store.
         """
-        if self._table is None:
-            return list(self._lazy_parts[0])
-        return [value.value for value in self._table[: self.constant_count]]
+        return list(self._lazy_parts[0])
 
     def null_labels(self) -> list[int]:
         """The labelled-null region as bare labels, in table order."""
-        if self._table is None:
-            return list(self._lazy_parts[1])
-        lo = self.constant_count
-        return [value.label for value in self._table[lo : lo + self.labeled_count]]
+        return list(self._lazy_parts[1])
 
     def skolem_values(self) -> list[Value]:
         """The Skolem region, in table order."""
-        if self._table is None:
-            return list(self._lazy_parts[2])
-        return self._table[self.constant_count + self.labeled_count :]
+        return list(self._lazy_parts[2])
 
     def skolem_count(self) -> int:
         """How many Skolem values the table holds (without materializing it)."""
-        if self._table is None:
-            return len(self._lazy_parts[2])
-        return len(self._table) - self.constant_count - self.labeled_count
+        return len(self._lazy_parts[2])
 
     def peek(self, value: Value) -> int | None:
         """The id of *value*, or ``None`` — never interns (read-only probe)."""
@@ -666,65 +660,19 @@ class ColumnStore:
     def pack(self) -> bytes:
         """Serialize to one flat buffer (see the module docstring layout).
 
-        Canonical stores pack verbatim; other stores first compact the
-        value table down to the ids their rows use (keeping relative
-        order, so label-sortedness survives) and remap columns into the
-        compacted — and usually narrower — id space.
+        Packs straight from the raw parts: packing is often the *only*
+        thing that happens to a store (a worker shipping its solution
+        home), so building the value table just to unwrap it again would
+        undo the point.  Canonical stores pack verbatim; other stores
+        first compact the table down to the ids their rows use (keeping
+        relative order, so label-sortedness survives) and remap columns
+        into the compacted — and usually narrower — id space.  The
+        header carries this store's ``canonical`` flag: chase solutions
+        are emission-ordered (``canon: false``), while a decoded
+        canonical buffer round-trips as canonical.  Memoized.
         """
         if self._packed is not None:
             return self._packed
-        if self._table is None:
-            self._packed = self._pack_raw()
-            return self._packed
-        used = self.used_ids()
-        compact = len(used) != len(self.values)
-        if compact:
-            remap = {ident: local for local, ident in enumerate(used)}
-            table = [self.values[ident] for ident in used]
-            const_n = 0
-            labeled_n = 0
-            for value in table:
-                if type(value) is Constant:
-                    const_n += 1
-                elif type(value) is LabeledNull:
-                    labeled_n += 1
-        else:
-            remap = None
-            table = self.values
-            const_n = self.constant_count
-            labeled_n = self.labeled_count
-        code = width_code(len(table))
-        rels = []
-        col_blobs: list[bytes] = []
-        for name in self.schema.relation_names:
-            cols = self.columns[name]
-            rels.append([name, len(cols), self.counts[name]])
-            for col in cols:
-                if remap is not None:
-                    col = array(code, map(remap.__getitem__, col))
-                elif col.typecode != code:  # pragma: no cover - defensive
-                    col = array(code, col)
-                col_blobs.append(col.tobytes())
-        self._packed = _assemble_buffer(
-            self.schema, table, const_n, labeled_n, rels, col_blobs, code, True
-        )
-        return self._packed
-
-    def _pack_raw(self) -> bytes:
-        """Pack a deferred store straight from its raw parts.
-
-        Deferred stores (id-space chase solutions) know their raw
-        constants, null labels and id columns but have never built a
-        :class:`Value` table — and packing is often the *only* thing that
-        happens to them (a worker shipping its solution home), so
-        building the table just to unwrap it again would undo the point.
-        Compacts to used ids exactly like :meth:`pack`; keeping relative
-        order preserves label-sortedness.  The header carries this
-        store's ``canonical`` flag: chase solutions are emission-ordered
-        (``canon: false``), while a
-        lazily decoded canonical buffer (:func:`unpack_instance_lazy`)
-        round-trips as canonical.
-        """
         raw_constants, labels, skolems = self._lazy_parts
         used = self.used_ids()
         const_count = self.constant_count
@@ -754,7 +702,7 @@ class ColumnStore:
                 elif col.typecode != code:
                     col = array(code, col)
                 col_blobs.append(col.tobytes())
-        return _assemble_raw_buffer(
+        self._packed = _assemble_buffer(
             self.schema,
             packed_consts,
             packed_labels,
@@ -764,32 +712,10 @@ class ColumnStore:
             code,
             self.canonical,
         )
+        return self._packed
 
 
 def _assemble_buffer(
-    schema: Schema,
-    table: Sequence[Value],
-    const_n: int,
-    labeled_n: int,
-    rels: list,
-    col_blobs: list[bytes],
-    code: str,
-    canonical: bool,
-) -> bytes:
-    """Join a prepared value table + column blobs into one flat buffer."""
-    return _assemble_raw_buffer(
-        schema,
-        [value.value for value in table[:const_n]],
-        [value.label for value in table[const_n : const_n + labeled_n]],
-        list(table[const_n + labeled_n :]),
-        rels,
-        col_blobs,
-        code,
-        canonical,
-    )
-
-
-def _assemble_raw_buffer(
     schema: Schema,
     raw_constants: Sequence[object],
     labels: Sequence[int],
@@ -863,11 +789,9 @@ def _read_raw_table(
     """Parse header + raw value-table parts, building no :class:`Value`\\ s.
 
     Returns ``(header, raw_constants, labels, skolems, offset)`` where
-    *offset* points at the first column blob.  The lazy decode
-    (:func:`unpack_instance_lazy`) works directly on raw scalars and
-    integer labels, so wrapping them in value objects here would be
-    wasted work; :func:`_decode_table` layers that on for the
-    value-space decoder.
+    *offset* points at the first column blob.  The decoder
+    (:func:`unpack_instance`) works directly on raw scalars and integer
+    labels, so wrapping them in value objects here would be wasted work.
     """
     if buffer[: len(MAGIC)] != MAGIC:
         raise ColumnarFormatError("not a columnar instance buffer (bad magic)")
@@ -899,15 +823,6 @@ def _read_raw_table(
     return header, raw_constants, labels, skolems, offset
 
 
-def _decode_table(buffer: bytes) -> tuple[dict, list[Value], int]:
-    """Decode prefix: header + rebuilt value table + column offset."""
-    header, raw_constants, labels, skolems, offset = _read_raw_table(buffer)
-    table: list[Value] = [constant(raw) for raw in raw_constants]
-    table.extend(LabeledNull(label) for label in labels)
-    table.extend(skolems)
-    return header, table, offset
-
-
 def _decode_columns(
     buffer: bytes, header: dict, offset: int
 ) -> Iterator[tuple[str, int, int, list[array]]]:
@@ -928,88 +843,15 @@ def _decode_columns(
 
 
 def unpack_instance(buffer: bytes | bytearray | memoryview) -> "Instance":
-    """Decode a flat buffer into an :class:`Instance` with attached store.
-
-    Decoding is table-first: the value table is rebuilt once (constants
-    re-interned through :func:`~repro.relational.values.constant`), then
-    every relation's rows come from one C-speed ``zip`` of per-column
-    table lookups.  Rows are trusted — they were validated when the
-    packing side built its instance — so the validating constructor is
-    skipped.  The attached store keeps the buffer's row order, which for
-    buffers packed from canonical stores is itself canonical.
-    """
-    from .instance import Instance
-    from .serialization import schema_from_json
-
-    buffer = bytes(buffer)
-    header, table, offset = _decode_table(buffer)
-    const_n = header["consts"]
-    labeled_n = header["labeled"]
-    ids: dict = {}
-    for ident, value in enumerate(table):
-        ids[value.value if type(value) is Constant else value] = ident
-
-    code = header["width"]
-    schema = schema_from_json(header["schema"])
-    rows_by_rel: dict[str, list[Row]] = {}
-    cols_by_rel: dict[str, tuple[array, ...]] = {}
-    relations: dict[str, frozenset] = {}
-    lookup = table.__getitem__
-    for name, arity, nrows, cols in _decode_columns(buffer, header, offset):
-        if name not in schema:
-            raise ColumnarFormatError(f"buffer names unknown relation {name!r}")
-        if arity != schema[name].arity:
-            raise ColumnarFormatError(
-                f"arity mismatch for {name!r}: schema says "
-                f"{schema[name].arity}, buffer says {arity}"
-            )
-        for col in cols:
-            if len(table) <= (max(col) if col else -1):
-                raise ColumnarFormatError("column id outside the value table")
-        if arity:
-            rows = list(zip(*(map(lookup, col) for col in cols)))
-        else:
-            rows = [()] * nrows
-        rows_by_rel[name] = rows
-        cols_by_rel[name] = tuple(cols)
-        relations[name] = frozenset(rows)
-    for name in schema.relation_names:
-        if name not in relations:
-            relations[name] = frozenset()
-            rows_by_rel[name] = []
-            cols_by_rel[name] = tuple(
-                array(code) for _ in range(schema[name].arity)
-            )
-    instance = Instance._unsafe(schema, relations)
-    store = ColumnStore(
-        schema,
-        table,
-        const_n,
-        labeled_n,
-        ids,
-        rows_by_rel,
-        cols_by_rel,
-        # Table compaction and row sorting happened on the packing side,
-        # so the decoded store is canonical whenever the packed one was
-        # (the header says which).
-        canonical=bool(header.get("canon", True)),
-    )
-    instance._columnar = store
-    return instance
-
-
-def unpack_instance_lazy(
-    buffer: bytes | bytearray | memoryview,
-) -> "Instance":
     """Decode a flat buffer into a store-backed instance, deferring values.
 
-    The lazy twin of :func:`unpack_instance`: the id columns are decoded
-    and validated eagerly (same structural checks), but the value table,
-    the value → id map and the value-tuple rows stay as raw parts until
-    someone reads them.  The id-space chase fast path
-    (:func:`repro.mapping.chase.chase`) joins premises over the columns
-    and copies the raw parts into its solution store, so none of those
-    ever materialize.
+    The id columns are decoded and structurally validated at once, but
+    the value table, the value → id map and the value-tuple rows stay as
+    raw parts until someone reads them.  Rows are trusted — they were
+    validated when the packing side built its instance.  The id-space
+    chase fast path (:func:`repro.mapping.chase.chase`) joins premises
+    over the columns and copies the raw parts into its solution store,
+    so none of those ever materialize.
 
     The buffer's ``canon`` header carries over: a buffer packed from a
     canonical store decodes to a store whose table order is the
@@ -1046,7 +888,7 @@ def unpack_instance_lazy(
             cols_by_rel[name] = tuple(
                 array(code) for _ in range(schema[name].arity)
             )
-    store = ColumnStore._deferred(
+    store = ColumnStore(
         schema,
         raw_constants,
         labels,

@@ -333,8 +333,9 @@ class Instance:
         Built on first request and memoized (instances are immutable);
         the store backs :meth:`fingerprint`, flat-buffer payload
         shipping and the id-space evaluation path.  Instances decoded by
-        :func:`~repro.relational.columnar.unpack_instance` arrive with a
-        store already attached and skip the build entirely.  A build
+        :func:`~repro.relational.columnar.unpack_instance` or
+        :func:`~repro.relational.serialization.instance_from_json` arrive
+        with a store already attached and skip the build entirely.  A build
         opens a ``columnar.build`` span (``source_facts``,
         ``table_size``).
         """

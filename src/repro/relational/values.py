@@ -135,7 +135,10 @@ def constant(value: Hashable) -> Constant:
         return _interned_constants[(type(value), value)]
     except KeyError:
         wrapped = Constant(value)
-        if len(_interned_constants) < _INTERN_CAP:
+        # 0.0 and -0.0 are one key but print differently: share neither.
+        if len(_interned_constants) < _INTERN_CAP and not (
+            type(value) is float and value == 0.0
+        ):
             _interned_constants[(type(value), value)] = wrapped
         return wrapped
     except TypeError:

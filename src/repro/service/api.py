@@ -40,7 +40,11 @@ from ..obs import get_registry
 from ..options import ExchangeOptions
 from ..provenance import ProvenanceLog, Solution
 from ..relational.instance import Instance
-from ..relational.serialization import instance_from_json, instance_to_json
+from ..relational.serialization import (
+    instance_from_json,
+    instance_json_text,
+    instance_to_json,
+)
 from .tenancy import DEFAULT_TENANT
 
 __all__ = [
@@ -428,6 +432,16 @@ class ExchangeResponse:
         if include_facts:
             out["facts"] = instance_to_json(self.facts)
         return out
+
+    def to_json(self) -> str:
+        """``json.dumps(self.as_dict())``, byte for byte: the buffered HTTP body.
+
+        The facts are written from the solution's id columns
+        (:func:`~repro.relational.serialization.instance_json_text`), so
+        a store-backed solution builds no value objects on the way out.
+        """
+        head = json.dumps(self.as_dict(include_facts=False))
+        return f'{head[:-1]}, "facts": {instance_json_text(self.facts)}}}'
 
     def summary_dict(self) -> dict[str, Any]:
         """The NDJSON ``summary`` trailer of a streamed reply (docs/SERVICE.md)."""

@@ -60,7 +60,7 @@ from .service import ExchangeService
 from .streaming import (
     DEFAULT_CHUNK_FACTS,
     exchange_payload,
-    fact_chunks,
+    fact_lines,
     outcome_from_dict,
 )
 from .tenancy import ServiceOverloaded
@@ -443,7 +443,7 @@ class ExchangeServer:
                     registry.increment("service.streams")
                     await self._stream_response(writer, response)
                 else:
-                    await self._write_json(writer, 200, response.as_dict())
+                    await self._write_body(writer, 200, response.to_json())
 
     async def _stream_response(
         self, writer: asyncio.StreamWriter, response: ExchangeResponse
@@ -468,16 +468,22 @@ class ExchangeServer:
             "sharded": False,
         }
         writer.write(_chunk(_ndjson(header)))
-        for fact_chunk in fact_chunks(response.facts, self._chunk_facts):
-            writer.write(_chunk(_ndjson(fact_chunk.as_dict())))
+        for line in fact_lines(response.facts, self._chunk_facts):
+            writer.write(_chunk(line))
         writer.write(_chunk(_ndjson(response.summary_dict())) + _LAST_CHUNK)
         await writer.drain()
 
-    @staticmethod
+    @classmethod
     async def _write_json(
-        writer: asyncio.StreamWriter, status: int, body: Mapping[str, Any]
+        cls, writer: asyncio.StreamWriter, status: int, body: Mapping[str, Any]
     ) -> None:
-        payload = json.dumps(body).encode("utf-8")
+        await cls._write_body(writer, status, json.dumps(body))
+
+    @staticmethod
+    async def _write_body(
+        writer: asyncio.StreamWriter, status: int, text: str
+    ) -> None:
+        payload = text.encode("utf-8")
         writer.write(
             _response_head(
                 status,

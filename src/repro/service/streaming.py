@@ -7,12 +7,16 @@ one response body.  Two front ends stream:
 * :meth:`repro.service.ExchangeService.stream` — synchronous, yields a
   :class:`StreamingSolution`;
 * :mod:`repro.service.aserve` — the asyncio HTTP layer, writing each
-  chunk as one NDJSON line (docs/SERVICE.md "Streaming format").
+  chunk as one NDJSON line (:func:`fact_lines`, docs/SERVICE.md).
+
+Both yield facts in :meth:`Instance.facts` order, the buffered reply's.
 
 The HTTP server runs requests on worker processes: :func:`request_payload`
 packs one request, :func:`exchange_payload` (in the worker) unpacks it,
 runs the exchange core (:func:`repro.exec.core.execute`) and packs the
-outcome, and :func:`outcome_from_dict` unpacks that in the parent.
+outcome, and :func:`outcome_from_dict` unpacks that in the parent.  Both
+unpacks defer the value table, so neither side builds value objects for
+a request the id-space chase takes.
 :class:`StreamSession` bundles those steps for callers that run payloads
 themselves.
 """
@@ -30,7 +34,12 @@ from ..options import ExchangeOptions
 from ..provenance import ProvenanceLog, Solution
 from ..relational.columnar import pack_instance, unpack_instance
 from ..relational.instance import Instance, Row
-from ..relational.serialization import value_from_json, value_to_json
+from ..relational.serialization import (
+    fact_texts,
+    ordered_facts,
+    value_from_json,
+    value_to_json,
+)
 from .api import ExchangeRequest, ExchangeResponse, PartialSolution, settle
 
 __all__ = [
@@ -40,6 +49,7 @@ __all__ = [
     "StreamingSolution",
     "exchange_payload",
     "fact_chunks",
+    "fact_lines",
     "outcome_from_dict",
     "request_payload",
 ]
@@ -89,16 +99,35 @@ class FactChunk:
 
 
 def fact_chunks(instance: Instance, chunk_facts: int) -> Iterator[FactChunk]:
-    """*instance*'s facts in chunks of at most *chunk_facts*."""
+    """*instance*'s facts in chunks of at most *chunk_facts*.
+
+    Facts come in :meth:`Instance.facts` order, the order of the
+    buffered reply and of :func:`fact_lines`, whatever the hash seed.
+    """
     batch: list[tuple[str, Row]] = []
-    for name in instance.relation_names():
-        for row in instance.rows(name):
-            batch.append((name, row))
-            if len(batch) >= chunk_facts:
-                yield FactChunk(-1, tuple(batch))
-                batch = []
+    for fact in ordered_facts(instance):
+        batch.append(fact)
+        if len(batch) >= chunk_facts:
+            yield FactChunk(-1, tuple(batch))
+            batch = []
     if batch:
         yield FactChunk(-1, tuple(batch))
+
+
+def fact_lines(instance: Instance, chunk_facts: int) -> Iterator[bytes]:
+    """The NDJSON ``facts`` lines of :func:`fact_chunks`, written from id columns.
+
+    Each line is the compact ``json.dumps`` of a chunk's
+    :meth:`FactChunk.as_dict` plus a newline, byte for byte, with the
+    facts' texts from :func:`~repro.relational.serialization.fact_texts`.
+    """
+    texts = fact_texts(instance, (",", ":"))
+    for start in range(0, len(texts), chunk_facts):
+        batch = texts[start : start + chunk_facts]
+        yield (
+            f'{{"kind":"facts","shard":-1,"count":{len(batch)},'
+            f'"facts":[{",".join(batch)}]}}\n'
+        ).encode("utf-8")
 
 
 def _pack(instance: Instance) -> bytes:

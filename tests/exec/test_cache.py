@@ -62,12 +62,12 @@ class TestInstanceFingerprint:
     def test_construction_path_does_not_leak_into_the_key(self):
         # The fingerprint hashes the canonical store's packed buffers, so
         # every way of building the same facts — bulk constructor,
-        # row-by-row builder, eager and lazy flat-buffer decode — must
-        # yield one cache key.
-        from repro.relational.columnar import (
-            pack_instance,
-            unpack_instance,
-            unpack_instance_lazy,
+        # row-by-row builder, flat-buffer and JSON decode — must yield
+        # one cache key.
+        from repro.relational.columnar import pack_instance, unpack_instance
+        from repro.relational.serialization import (
+            instance_from_json,
+            instance_to_json,
         )
         from repro.relational.instance import InstanceBuilder
 
@@ -82,7 +82,7 @@ class TestInstanceFingerprint:
         variants = [
             built,
             unpack_instance(buffer),
-            unpack_instance_lazy(buffer),
+            instance_from_json(instance_to_json(bulk)),
         ]
         reference = bulk.fingerprint()
         assert all(v.fingerprint() == reference for v in variants)

@@ -24,7 +24,7 @@ from repro.logic.terms import Var
 from repro.options import ExchangeOptions
 from repro.relational import instance, relation, schema
 from repro.relational.canonical import canonically_equal
-from repro.relational.columnar import pack_instance, unpack_instance_lazy
+from repro.relational.columnar import pack_instance, unpack_instance
 from repro.relational.instance import Instance
 from repro.relational.schema import (
     Attribute,
@@ -86,7 +86,7 @@ class TestExactEquivalence:
 
     def test_lazily_decoded_source_stays_lazy(self, spy):
         source = clustered_source()
-        shipped = unpack_instance_lazy(pack_instance(source))
+        shipped = unpack_instance(pack_instance(source))
         fast = universal_solution(join_mapping(), shipped)
         assert spy["engaged"]
         # the worker contract: chasing a shipped shard never builds its

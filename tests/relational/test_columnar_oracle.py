@@ -6,7 +6,7 @@ domain by ``value_sort_key`` and encode relations as sorted id-tuple
 rows.  :meth:`ColumnStore.build` unwraps whole columns to raw scalars,
 sorts constants per type natively and sorts packed integer keys; the
 two must produce the same value table, ids, columns, counts and digest.
-The digest must also survive the eager and the lazy codec round-trip.
+The digest must also survive the flat-buffer codec round-trip.
 """
 
 from array import array
@@ -19,7 +19,6 @@ from repro.relational.columnar import (
     ColumnStore,
     pack_instance,
     unpack_instance,
-    unpack_instance_lazy,
     width_code,
 )
 from repro.relational.values import Constant, SkolemValue, value_sort_key
@@ -43,40 +42,29 @@ def reference_build(instance: Instance) -> ColumnStore:
                 if held is None or rank < held[0]:
                     best[value] = (rank, value)
     values = sorted((value for _, value in best.values()), key=value_sort_key)
-    ids: dict = {}
-    constant_count = labeled_count = 0
-    for ident, value in enumerate(values):
-        if type(value) is Constant:
-            ids[value.value] = ident
-            constant_count += 1
-        else:
-            ids[value] = ident
-            labeled_count += type(value) is LabeledNull
+    ids = {
+        value.value if type(value) is Constant else value: ident
+        for ident, value in enumerate(values)
+    }
     code = width_code(len(values))
-    rows_by_rel, cols_by_rel = {}, {}
+    counts, cols_by_rel = {}, {}
     for name in instance.relation_names():
         arity = instance.schema[name].arity
-        paired = sorted(
-            (
-                tuple(ids[v.value] if type(v) is Constant else ids[v] for v in row),
-                row,
-            )
+        keys = sorted(
+            tuple(ids[v.value] if type(v) is Constant else ids[v] for v in row)
             for row in instance.rows(name)
         )
-        rows_by_rel[name] = [row for _, row in paired]
-        if paired and arity:
-            cols_by_rel[name] = tuple(
-                array(code, col) for col in zip(*(t for t, _ in paired))
-            )
+        counts[name] = len(keys)
+        if keys and arity:
+            cols_by_rel[name] = tuple(array(code, col) for col in zip(*keys))
         else:
             cols_by_rel[name] = tuple(array(code) for _ in range(arity))
     return ColumnStore(
         instance.schema,
-        values,
-        constant_count,
-        labeled_count,
-        ids,
-        rows_by_rel,
+        [v.value for v in values if type(v) is Constant],
+        [v.label for v in values if type(v) is LabeledNull],
+        [v for v in values if type(v) is SkolemValue],
+        counts,
         cols_by_rel,
         canonical=True,
     )
@@ -145,7 +133,6 @@ def test_digest_survives_both_decoders(inst):
     buffer = pack_instance(inst)
     digest = inst.fingerprint()
     assert unpack_instance(buffer).columnar_store.digest() == digest
-    assert unpack_instance_lazy(buffer).columnar_store.digest() == digest
 
 
 def test_fingerprint_does_not_materialize_the_table():

@@ -1,7 +1,7 @@
 """The columnar storage engine and its flat-buffer codec.
 
 Covers :class:`~repro.relational.columnar.ColumnStore` construction,
-packing, the eager and lazy unpack paths, and the structural validation
+packing, the deferred unpack, and the structural validation
 every buffer goes through on decode.
 """
 
@@ -14,7 +14,6 @@ from repro.relational.columnar import (
     ColumnStore,
     pack_instance,
     unpack_instance,
-    unpack_instance_lazy,
     width_code,
 )
 from repro.relational.instance import Instance
@@ -147,11 +146,11 @@ class TestPackUnpack:
 class TestLazyUnpack:
     def test_round_trip_same_facts(self):
         inst = mixed_instance()
-        lazy = unpack_instance_lazy(pack_instance(inst))
+        lazy = unpack_instance(pack_instance(inst))
         assert lazy.same_facts(inst)
 
     def test_decode_defers_the_value_table(self):
-        lazy = unpack_instance_lazy(pack_instance(mixed_instance()))
+        lazy = unpack_instance(pack_instance(mixed_instance()))
         store = lazy.columnar_store
         assert store._table is None  # nothing materialized yet
         assert store.size() == mixed_instance().size()
@@ -159,28 +158,28 @@ class TestLazyUnpack:
 
     def test_canon_header_carries_over(self):
         canonical = pack_instance(mixed_instance())
-        assert unpack_instance_lazy(canonical).columnar_store.canonical
+        assert unpack_instance(canonical).columnar_store.canonical
         emitted = corrupt(canonical, canon=False)
-        assert not unpack_instance_lazy(emitted).columnar_store.canonical
+        assert not unpack_instance(emitted).columnar_store.canonical
 
     def test_deferred_repack_round_trips(self):
         # a lazily decoded instance that is packed again without ever
         # materializing values
         inst = mixed_instance()
-        lazy = unpack_instance_lazy(pack_instance(inst))
+        lazy = unpack_instance(pack_instance(inst))
         again = unpack_instance(lazy.columnar_store.pack())
         assert again.same_facts(inst)
         assert again.columnar_store.canonical
 
     def test_max_labeled_null_without_values(self):
         inst = instance(S, {"S": [[LabeledNull(5)], [LabeledNull(2)], ["z"]]})
-        store = unpack_instance_lazy(pack_instance(inst)).columnar_store
+        store = unpack_instance(pack_instance(inst)).columnar_store
         assert store.max_labeled_null() == 5
         assert store._table is None  # answered from raw parts
 
     def test_max_labeled_null_empty(self):
         inst = instance(S, {"R": [["a", "b"]]})
-        store = unpack_instance_lazy(pack_instance(inst)).columnar_store
+        store = unpack_instance(pack_instance(inst)).columnar_store
         assert store.max_labeled_null() == -1
 
     def test_missing_relations_decode_empty(self):
@@ -188,13 +187,13 @@ class TestLazyUnpack:
         buffer = corrupt(
             pack_instance(instance(S, {"S": [["z"]]})), rels=[["S", 1, 1]]
         )
-        lazy = unpack_instance_lazy(buffer)
+        lazy = unpack_instance(buffer)
         assert lazy.rows("R") == frozenset()
         assert lazy.rows("S") == frozenset({(constant("z"),)})
 
     def test_raw_parts_answer_without_values(self):
         inst = mixed_instance()
-        store = unpack_instance_lazy(pack_instance(inst)).columnar_store
+        store = unpack_instance(pack_instance(inst)).columnar_store
         assert sorted(store.null_labels()) == [1, 3]
         assert set(store.raw_constants()) >= {"x", "y", "z", 7, True}
         assert store._table is None
@@ -208,18 +207,18 @@ class TestValidation:
     def test_bad_version(self):
         buffer = corrupt(pack_instance(mixed_instance()), v=99)
         with pytest.raises(ColumnarFormatError, match="version"):
-            unpack_instance_lazy(buffer)
+            unpack_instance(buffer)
 
     def test_truncated_columns(self):
         buffer = pack_instance(mixed_instance())
         with pytest.raises(ColumnarFormatError, match="truncated"):
-            unpack_instance_lazy(buffer[:-3])
+            unpack_instance(buffer[:-3])
 
     def test_unknown_relation(self):
         buffer = pack_instance(instance(schema(relation("T", "a")), {"T": [["v"]]}))
         with pytest.raises(ColumnarFormatError, match="unknown relation"):
             # decode against a schema that has no T
-            unpack_instance_lazy(
+            unpack_instance(
                 corrupt(
                     buffer,
                     schema=_schema_json(schema(relation("U", "a"))),
@@ -229,7 +228,7 @@ class TestValidation:
     def test_arity_mismatch(self):
         buffer = pack_instance(instance(schema(relation("R", "a")), {"R": [["v"]]}))
         with pytest.raises(ColumnarFormatError, match="arity mismatch"):
-            unpack_instance_lazy(
+            unpack_instance(
                 corrupt(
                     buffer, schema=_schema_json(schema(relation("R", "a", "b")))
                 )
@@ -240,7 +239,7 @@ class TestValidation:
         # claim an empty value table; the column id 0 now dangles
         bad = corrupt(buffer, consts=0)
         with pytest.raises(ColumnarFormatError):
-            unpack_instance_lazy(bad)
+            unpack_instance(bad)
 
 
 def _schema_json(s):

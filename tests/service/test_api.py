@@ -106,6 +106,43 @@ class TestExchangeResponse:
         assert len(repr(resp)) < 200
 
 
+class TestResponseJson:
+    """``to_json`` is ``json.dumps(as_dict())`` byte for byte."""
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            ExchangeOptions(),
+            ExchangeOptions(max_facts=3),
+            ExchangeOptions(provenance=True),
+        ],
+        ids=["complete", "partial", "provenance"],
+    )
+    def test_to_json_is_the_dumped_dict(self, options):
+        with ExchangeService(simple_mapping(), options) as service:
+            request = ExchangeRequest.from_dict(
+                ExchangeRequest(simple_source(6), request_id="r").as_dict()
+            )
+            resp = service.request(request)
+        assert resp.to_json() == json.dumps(resp.as_dict())
+
+    def test_worker_outcomes_and_cache_hits_stay_in_id_columns(self):
+        from repro.service.streaming import exchange_payload, outcome_from_dict
+
+        source_json = ExchangeRequest(simple_source(6)).as_dict()
+        with ExchangeService(simple_mapping(), ExchangeOptions(cache=4)) as service:
+            with service.plan(ExchangeRequest.from_dict(source_json)) as plan:
+                assert plan.cached is None
+                outcome = outcome_from_dict(exchange_payload(plan.payload()))
+                missed = plan.respond(outcome)
+            with service.plan(ExchangeRequest.from_dict(source_json)) as plan:
+                hit = plan.respond(plan.cached)
+        bodies = [resp.to_json() for resp in (missed, hit)]
+        assert hit.facts is missed.facts  # the cached solution
+        assert hit.facts._rels is None  # written without value objects
+        assert bodies == [json.dumps(resp.as_dict()) for resp in (missed, hit)]
+
+
 class TestRequestDrivenService:
     def test_request_resume_round_trip(self):
         options = ExchangeOptions(max_facts=2)

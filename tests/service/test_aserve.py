@@ -154,6 +154,96 @@ class TestExchangeOverHttp:
         assert err.status == 400
 
 
+SRC_JSON = instance_to_json(simple_source(1))["schema"]
+
+MALFORMED_SOURCES = {
+    "unknown relation": {
+        "schema": SRC_JSON,
+        "facts": [{"relation": "Nope", "row": [{"const": "a"}]}],
+    },
+    "row not a list": {
+        "schema": SRC_JSON,
+        "facts": [{"relation": "Emp", "row": 5}],
+    },
+    "const is a list": {
+        "schema": SRC_JSON,
+        "facts": [{"relation": "Emp", "row": [{"const": [1, 2]}]}],
+    },
+    "const is a dict": {
+        "schema": SRC_JSON,
+        "facts": [{"relation": "Emp", "row": [{"const": {"a": 1}}]}],
+    },
+    "typed mismatch": {
+        "schema": {
+            "relations": [
+                {"name": "Emp", "attributes": [{"name": "name", "type": "string"}]}
+            ]
+        },
+        "facts": [{"relation": "Emp", "row": [{"const": 7}]}],
+    },
+    "missing facts": {"schema": SRC_JSON},
+}
+
+
+async def raw_replies(service, body, times):
+    """*body* POSTed *times* times; each reply's raw body bytes."""
+    server = ExchangeServer(service, host="127.0.0.1", port=0)
+    await server.start()
+    payload = json.dumps(body).encode()
+    replies = []
+    try:
+        for _ in range(times):
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            writer.write(
+                b"POST /v1/exchange HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % len(payload)
+                + payload
+            )
+            await writer.drain()
+            head = (await reader.readuntil(b"\r\n\r\n")).decode("latin-1")
+            length = next(
+                int(line.split(":")[1])
+                for line in head.splitlines()
+                if line.lower().startswith("content-length:")
+            )
+            replies.append(await reader.readexactly(length))
+            writer.close()
+            await writer.wait_closed()
+    finally:
+        await server.aclose()
+    return replies
+
+
+class TestJsonOverHttp:
+    @pytest.mark.parametrize(
+        "source", MALFORMED_SOURCES.values(), ids=MALFORMED_SOURCES.keys()
+    )
+    def test_malformed_source_is_400(self, source):
+        async def go(client):
+            with pytest.raises(ExchangeClientError) as exc:
+                await client.exchange({"source": source, "stream": False})
+            return exc.value
+
+        with ExchangeService(simple_mapping()) as service:
+            err = run(with_server(service, go))
+            assert service.in_flight == 0
+        assert err.status == 400
+        assert err.body["kind"] == "bad-request"
+
+    def test_buffered_body_is_the_dumped_response(self):
+        body = {"source": instance_to_json(simple_source(7)), "stream": False}
+        options = ExchangeOptions(cache=4)
+        with ExchangeService(simple_mapping(), options) as service:
+            replies = run(raw_replies(service, body, 2))  # a miss, then a hit
+            ((solution, _),) = service.engine.cache._entries.values()
+        # the cache-hit reply was written without value objects
+        assert solution._rels is None
+        for raw in replies:
+            data = json.loads(raw)
+            assert raw == json.dumps(data).encode()  # json.dumps's own bytes
+            assert data["facts"] == instance_to_json(solution)
+
+
 class TestErrorsOverHttp:
     """Failures get a real status line, streamed or buffered."""
 
