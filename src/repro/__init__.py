@@ -19,7 +19,9 @@ Quick start::
     T = schema(relation("Manager", "emp", "mgr"))
     M = SchemaMapping.parse(S, T, "Emp(x) -> exists y . Manager(x, y)")
     engine = ExchangeEngine.compile(M)
-    target = engine.exchange(instance(S, {"Emp": [["Alice"], ["Bob"]]}))
+    source = instance(S, {"Emp": [["Alice"], ["Bob"]]})
+    target = engine.exchange(source)  # Manager(Alice, ⊥0), Manager(Bob, ⊥1)
+    assert engine.put_back(target, source) == source  # GetPut
 
 See README.md for the architecture tour and DESIGN.md for the
 paper-to-module inventory.

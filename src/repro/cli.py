@@ -67,6 +67,7 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import os
 import random
 import re
 import signal
@@ -89,7 +90,7 @@ from .analysis.registry import code_matches
 from .budget import BudgetExceeded
 from .compiler import ExchangeEngine, check_completeness
 from .logic.parser import ParseError, parse_rules_spanned
-from .mapping import SchemaMapping, chase, universal_solution
+from .mapping import SchemaMapping, chase
 from .mapping.chase import ChaseNonTermination
 from .mapping.dependencies import target_dependency_from_rule
 from .mapping.sttgd import StTgd
@@ -212,21 +213,22 @@ def _options_from_args(args: argparse.Namespace) -> ExchangeOptions:
         raise CliError(str(exc))
 
 
-def _build_engine(args: argparse.Namespace) -> tuple[ExchangeEngine, Schema, Schema]:
+def _build_engine(args: argparse.Namespace) -> tuple[ExchangeEngine, Instance | None]:
+    """The compiled engine and the ``--data`` source (loaded once), or ``None``."""
     source_schema, target_schema = load_schemas(args.schemas)
     mapping = load_mapping(args.mapping, source_schema, target_schema)
-    statistics = None
+    source = None
     if getattr(args, "data", None):
-        statistics = Statistics.gather(
-            load_instance(args.data, source_schema, "source")
-        )
+        source = load_instance(args.data, source_schema, "source")
     try:
         engine = ExchangeEngine.compile(
-            mapping, statistics, options=_options_from_args(args)
+            mapping,
+            Statistics.gather(source) if source is not None else None,
+            options=_options_from_args(args),
         )
     except BackendUnavailableError as exc:
         raise CliError(str(exc))
-    return engine, source_schema, target_schema
+    return engine, source
 
 
 def _export_provenance(log, path: str | None) -> None:
@@ -251,20 +253,31 @@ def _unwrap(result: Instance | Solution) -> Instance:
     return result.instance if isinstance(result, Solution) else result
 
 
-def _emit_partial(partial: PartialSolution, out: str | None) -> int:
-    """Emit a degraded result: partial facts out, warning to stderr, exit 3."""
+def _emit_partial(
+    exc: BudgetExceeded | ChaseNonTermination,
+    options: ExchangeOptions,
+    target: Schema,
+    args: argparse.Namespace,
+) -> int:
+    """Emit a budgeted run's partial facts, warn on stderr, exit 3 (else re-raise)."""
+    if not options.budgeted:
+        raise exc
+    violated = getattr(exc, "violated", "max_steps")
+    partial = exc.partial if exc.partial is not None else Instance(target, [])
     print(
-        f"warning: budget '{partial.violated}' exhausted in phase "
-        f"{partial.token.phase!r}; emitting {partial.facts.size()} partial "
-        f"facts (not a solution) — see docs/ROBUSTNESS.md",
+        f"warning: budget '{violated}' exhausted; emitting {partial.size()} "
+        f"partial facts (not a solution) — see docs/ROBUSTNESS.md",
         file=sys.stderr,
     )
-    _emit(partial.facts, out)
+    _export_provenance(
+        getattr(exc, "provenance", None), getattr(args, "provenance_json", None)
+    )
+    _emit(partial, args.out)
     return DEGRADED_EXIT
 
 
 def cmd_plan(args: argparse.Namespace) -> int:
-    engine, *_ = _build_engine(args)
+    engine, _ = _build_engine(args)
     print(engine.explain(verbose=args.verbose))
     if args.verbose:
         from .backends.sql import mapping_compilability
@@ -278,7 +291,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
 
 
 def cmd_questions(args: argparse.Namespace) -> int:
-    engine, *_ = _build_engine(args)
+    engine, _ = _build_engine(args)
     questions = engine.policy_questions()
     if not questions:
         print("no open policy questions — the mapping is fully determined")
@@ -288,31 +301,11 @@ def cmd_questions(args: argparse.Namespace) -> int:
 
 
 def cmd_exchange(args: argparse.Namespace) -> int:
-    options = _options_from_args(args)
-    if options.budgeted:
-        # Budget flags route through the service so exhaustion degrades
-        # to a partial result instead of a traceback.
-        source_schema, target_schema = load_schemas(args.schemas)
-        mapping = load_mapping(args.mapping, source_schema, target_schema)
-        source = load_instance(args.data, source_schema, "source")
-        try:
-            service_cm = ExchangeService(
-                mapping, options, statistics=Statistics.gather(source)
-            )
-        except BackendUnavailableError as exc:
-            raise CliError(str(exc))
-        with service_cm as service:
-            result = service.exchange(source)
-        if isinstance(result, PartialSolution):
-            _export_provenance(result.provenance, getattr(args, "provenance_json", None))
-            return _emit_partial(result, args.out)
-        if isinstance(result, Solution):
-            _export_provenance(result.provenance, getattr(args, "provenance_json", None))
-        _emit(_unwrap(result), args.out)
-        return 0
-    engine, source_schema, _ = _build_engine(args)
-    source = load_instance(args.data, source_schema, "source")
-    result = engine.exchange(source)
+    engine, source = _build_engine(args)
+    try:
+        result = engine.exchange(source)
+    except (BudgetExceeded, ChaseNonTermination) as exc:
+        return _emit_partial(exc, engine.options, engine.mapping.target, args)
     if isinstance(result, Solution):
         _export_provenance(result.provenance, getattr(args, "provenance_json", None))
     _emit(_unwrap(result), args.out)
@@ -327,20 +320,7 @@ def cmd_chase(args: argparse.Namespace) -> int:
     try:
         chased = chase(mapping, source, options=options)
     except (BudgetExceeded, ChaseNonTermination) as exc:
-        if not options.budgeted:
-            raise
-        violated = getattr(exc, "violated", "max_steps")
-        partial = exc.partial if exc.partial is not None else Instance(target_schema, [])
-        print(
-            f"warning: budget '{violated}' exhausted; emitting "
-            f"{partial.size()} partial facts (not a solution)",
-            file=sys.stderr,
-        )
-        _export_provenance(
-            getattr(exc, "provenance", None), getattr(args, "provenance_json", None)
-        )
-        _emit(partial, args.out)
-        return DEGRADED_EXIT
+        return _emit_partial(exc, options, target_schema, args)
     if chased.provenance.enabled:
         _export_provenance(chased.provenance, getattr(args, "provenance_json", None))
     _emit(chased.solution, args.out)
@@ -348,31 +328,22 @@ def cmd_chase(args: argparse.Namespace) -> int:
 
 
 def cmd_put(args: argparse.Namespace) -> int:
-    engine, source_schema, target_schema = _build_engine(args)
-    source = load_instance(args.data, source_schema, "source")
-    view = load_instance(args.view, target_schema, "target")
-    result = engine.put_back(view, source)
-    _emit(result, args.out)
+    engine, source = _build_engine(args)
+    view = load_instance(args.view, engine.mapping.target, "target")
+    _emit(engine.put_back(view, source), args.out)
     return 0
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    """Run compile → chase → get → put under tracing; print what happened.
+    """Run compile → exchange → put under tracing; print what happened.
 
-    The put pushes back the unedited view (a GetPut round-trip), so the
-    profile covers both lens directions without needing an edit file.
+    The put pushes back the unedited solution (a GetPut round-trip), so
+    the profile covers the chase and both lens directions (``put``
+    diffs against ``lens.get``) without needing an edit file.
     """
-    engine, source_schema, _ = _build_engine(args)
-    source = load_instance(args.data, source_schema, "source")
-    universal_solution(engine.mapping, source)  # reference chase
+    engine, source = _build_engine(args)
     for _ in range(max(args.repeat, 1)):
-        target = engine.exchange(source)
-        # The exchange core (chase or SQL backend) returns a solution
-        # with labelled nulls, not the lens view (Skolem values); put
-        # diffs against the lens view, so the round-trip must push that
-        # view back.
-        view = engine.lens.get(source) if engine.runs_core else target
-        engine.put_back(view, source)
+        engine.put_back(_unwrap(engine.exchange(source)), source)
     print(render_trace(get_tracer()))
     print()
     print(render_metrics(get_registry()))
@@ -391,8 +362,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    engine, source_schema, _ = _build_engine(args)
-    source = load_instance(args.data, source_schema, "source")
+    engine, source = _build_engine(args)
     report = check_completeness(engine, [source])
     print(report)
     for failure in report.failures:
@@ -726,8 +696,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
     trees as one JSON array instead of the indented text rendering.
     """
     args.provenance = True  # explain is pointless without lineage
-    engine, source_schema, _ = _build_engine(args)
-    source = load_instance(args.data, source_schema, "source")
+    engine, source = _build_engine(args)
     result = engine.exchange(source)
     assert isinstance(result, Solution)
     _export_provenance(result.provenance, getattr(args, "provenance_json", None))
@@ -1478,7 +1447,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        code = _run(build_parser().parse_args(argv))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout (``repro exchange ... | head -1``).
+        # Point the descriptor at devnull so the interpreter's final
+        # flush cannot fail again, and exit without a traceback.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _run(args: argparse.Namespace) -> int:
     # Tracing is scoped to this invocation: install a fresh tracer and
     # registry when asked for (profile always traces), emit afterwards,
     # and restore the previous globals so embedding callers are unharmed.

@@ -6,7 +6,8 @@ the whole source schema to the whole target schema:
 
 * ``get`` unions the units' forward facts — a pure, deterministic
   function agreeing with the chase up to homomorphic equivalence
-  (certified by :mod:`repro.compiler.completeness`);
+  (certified by :mod:`repro.compiler.completeness`), with canonical
+  Skolem values at existential positions;
 * ``put`` diffs the new view against ``get(source)``, retracting the
   support of deleted facts (per deletion hints) and justifying inserted
   facts via the routed unit's policies.
@@ -16,8 +17,8 @@ Laws: GetPut holds exactly; PutGet holds modulo homomorphic equivalence
 :mod:`repro.compiler.tgd_compiler`); both are checked in the suite.
 
 :class:`ExchangeEngine` is the user-facing façade of the paper's §4
-workflow: mapping in, plan + show-plan + questions out, then bidirectional
-``exchange`` / ``put_back`` / symmetric sessions.
+workflow: mapping in, plan + show-plan + questions out, then the chase's
+``exchange``, ``put_back`` through the lens, and symmetric sessions.
 """
 
 from __future__ import annotations
@@ -31,24 +32,34 @@ from ..budget import Budget
 from ..exec.cache import ExchangeCache, mapping_fingerprint
 from ..exec.core import execute, through_cache
 from ..lenses.symmetric import SpanLens
+from ..mapping.chase import chase_target_dependencies, st_tgd_phase
 from ..mapping.sttgd import SchemaMapping
 from ..obs import get_registry, get_tracer
 from ..options import ExchangeOptions
-from ..provenance import (
-    NOOP,
-    ProvenanceLog,
-    ProvenanceStore,
-    Solution,
-    resolve_provenance,
-)
+from ..provenance import ProvenanceLog, Solution, resolve_provenance
 from ..relational.instance import Fact, Instance
 from ..relational.schema import Schema
+from ..relational.values import LabeledNull, Value
 from ..rlens.base import RelationalLens, ViewViolationError
 from ..stats import Statistics
 from .hints import Hints
 from .plan import MappingPlan
 from .planner import Planner, PlannerConfig
 from .tgd_compiler import CompiledTgd
+
+
+def _missing(instance: Instance, other: Instance) -> list[Fact]:
+    """The facts of *instance* that *other* lacks, in ``repr`` order."""
+    missing = (
+        Fact(name, row)
+        for name in instance.relation_names()
+        for row in instance.rows(name) - other.rows(name)
+    )
+    return sorted(missing, key=repr)
+
+
+def _has_labelled_nulls(instance: Instance) -> bool:
+    return any(isinstance(value, LabeledNull) for value in instance.values())
 
 
 class ExchangeLens(RelationalLens):
@@ -93,9 +104,7 @@ class ExchangeLens(RelationalLens):
 
     # -- get -----------------------------------------------------------------
 
-    def get(
-        self, source: Instance, provenance: ProvenanceStore = NOOP
-    ) -> Instance:
+    def get(self, source: Instance) -> Instance:
         self.check_source(source)
         tracer = get_tracer()
         registry = get_registry()
@@ -105,23 +114,19 @@ class ExchangeLens(RelationalLens):
             facts: set[Fact] = set()
             for unit in self._units:
                 with tracer.span("unit.forward", tgd=unit.tgd_id) as unit_span:
-                    produced = unit.forward_facts(source, provenance)
+                    produced = unit.forward_facts(source)
                     unit_span.set(facts=len(produced))
-                # Observed per-unit cardinality: the ground truth that
-                # plan.explain(verbose=True) pits against the estimates.
-                registry.gauge(f"observed.unit.{unit.tgd_id}").set(len(produced))
                 facts |= produced
             target = Instance(self._target_schema, facts)
             if self._target_dependencies:
-                from ..mapping.chase import chase_target_dependencies
-
                 # The options thread the step cap and (when budgeted) a
-                # fresh per-call deadline/fact budget into the chase.
+                # fresh per-call deadline/fact budget into the chase; the
+                # lens records no lineage.
                 target = chase_target_dependencies(
                     target,
                     self._target_dependencies,
                     options=self._options,
-                    provenance=provenance,
+                    provenance=False,
                 )
             span.set(target_facts=target.size())
             registry.increment("lens.get.calls")
@@ -130,16 +135,19 @@ class ExchangeLens(RelationalLens):
 
     # -- put -----------------------------------------------------------------
 
-    def put(self, view: Instance, source: Instance) -> Instance:
+    def put(
+        self, view: Instance, source: Instance, base: Instance | None = None
+    ) -> Instance:
+        """*source* updated to *view*, an edit of *base* (default ``get(source)``)."""
         self.check_view(view)
         self.check_source(source)
         tracer = get_tracer()
         registry = get_registry()
         with tracer.span("lens.put", view_facts=view.size()) as span:
             with tracer.span("lens.put.diff"):
-                old_view = self.get(source)
-                removed = sorted(set(old_view.facts()) - set(view.facts()), key=repr)
-                added = sorted(set(view.facts()) - set(old_view.facts()), key=repr)
+                old_view = self.get(source) if base is None else base
+                removed = _missing(old_view, view)
+                added = _missing(view, old_view)
 
             result = source
             # Deletions first: every unit still deriving the fact must retract.
@@ -206,8 +214,11 @@ class ExchangeEngine:
     >>> engine = ExchangeEngine.compile(mapping, statistics, hints)
     >>> print(engine.show_plan())          # SQL-style plan inspection
     >>> engine.policy_questions()          # remaining user gestures
-    >>> target = engine.exchange(source)   # forward exchange (get)
+    >>> target = engine.exchange(source)   # forward: the chase's solution
     >>> source2 = engine.put_back(edited_target, source)  # backward (put)
+
+    ``lens.get`` is the Skolem view that ``put``, the law checks and
+    :class:`~repro.compiler.session.SyncSession` work against.
     """
 
     mapping: SchemaMapping
@@ -236,9 +247,7 @@ class ExchangeEngine:
         the HTTP server's pool, ``max_steps`` bounds target-dependency
         chases, and ``deadline``/``max_facts`` build per-request budgets.
         All default to off, and the backward direction (:meth:`put_back`)
-        is unaffected.  The pre-ExchangeOptions ``workers=``/``cache=``
-        keywords were removed — passing them is a ``TypeError`` (see
-        README "Migrating to ExchangeOptions").
+        is unaffected.
         """
         if options is None:
             options = ExchangeOptions()
@@ -279,25 +288,8 @@ class ExchangeEngine:
         return mapping_fingerprint(self.mapping)
 
     @property
-    def runs_core(self) -> bool:
-        """Whether :meth:`exchange` runs the exchange core, not ``lens.get``.
-
-        True when a ready backend, a cache or ``workers`` is configured.
-        """
-        return (
-            self.backend is not None
-            or self.cache is not None
-            or self.options.workers is not None
-        )
-
-    @property
     def executor(self) -> None:
-        """Always ``None``: no executor object exists any more.
-
-        The solution cache is :attr:`cache` and the worker pool belongs
-        to the HTTP server; callers probing for the old executor fall
-        back to their own pool.
-        """
+        """Always ``None``: the cache is :attr:`cache`, the pool the server's."""
         return None
 
     def exchange(
@@ -305,19 +297,17 @@ class ExchangeEngine:
     ) -> Instance | Solution:
         """Forward data exchange: materialize the target instance.
 
-        With a backend, cache or ``workers`` configured (:attr:`runs_core`)
-        the request runs through the exchange core
-        (:func:`repro.exec.core.execute`): a SQL backend
+        The request runs through the exchange core
+        (:func:`repro.exec.core.execute`), through :attr:`cache` when
+        one is set.  The chase returns the canonical universal solution
+        (labelled nulls, deterministic labels); a SQL backend
         (``options.backend="sqlite"``/``"duckdb"``, compilable mappings)
-        returns the core universal solution for laconic mappings and a
-        homomorphically equivalent one otherwise; the chase returns its
-        canonical solution (labelled nulls), which agrees with the lens
-        view (Skolem values) up to homomorphic equivalence; ``cache``
-        answers repeated sources.  Otherwise it is exactly ``lens.get``.
-        *budget* (or the options' deadline/fact caps) bounds the request;
-        exhaustion raises :class:`~repro.budget.BudgetExceeded` — use
-        :class:`repro.service.ExchangeService` to degrade to a
-        :class:`~repro.service.PartialSolution` instead.
+        returns the core for laconic mappings and a homomorphically
+        equivalent solution otherwise.  *budget* (or the options'
+        deadline/fact caps) bounds the request; exhaustion raises
+        :class:`~repro.budget.BudgetExceeded` carrying the partial
+        facts — use :class:`repro.service.ExchangeService` to degrade
+        to a :class:`~repro.service.PartialSolution` instead.
 
         With ``options.provenance`` on, the result is a
         :class:`~repro.provenance.Solution` (an Instance plus its
@@ -325,9 +315,6 @@ class ExchangeEngine:
         yields per-fact why-trees.
         """
         store = resolve_provenance(self.options.provenance)
-        if not self.runs_core:
-            solution = self.lens.get(source, store)
-            return Solution(solution, store, source) if store.enabled else solution
         hit, keep = through_cache(
             self.cache, self.fingerprint, source, self.backend, store.enabled
         )
@@ -342,6 +329,14 @@ class ExchangeEngine:
                 degrade=False,
             )
         )
+        if outcome.statistics is not None:
+            # Each unit emits one fact per firing of its tgd: the observed
+            # cardinalities plan.explain(verbose=True) reports.
+            registry = get_registry()
+            for index, units in enumerate(self._units_by_tgd):
+                firings = outcome.statistics.firings_by_tgd.get(index, 0)
+                for unit in units:
+                    registry.gauge(f"observed.unit.{unit.tgd_id}").set(firings)
         if outcome.provenance is None:
             return outcome.solution
         return Solution(outcome.solution, store.absorb(outcome.provenance), source)
@@ -351,8 +346,52 @@ class ExchangeEngine:
         return [self.exchange(source) for source in sources]
 
     def put_back(self, view: Instance, source: Instance) -> Instance:
-        """Propagate target edits back into the source."""
-        return self.lens.put(view, source)
+        """Propagate target edits (of ``exchange`` or ``lens.get``) back.
+
+        ``put`` diffs :meth:`skolemize`'s translation of *view* against
+        ``lens.get``.  With target dependencies it diffs against the
+        translated solution instead: the egds of the chase and of
+        ``lens.get`` may keep different nulls of a merged pair, and
+        target tgds number theirs differently.
+        """
+        base = None
+        if self.mapping.target_dependencies and _has_labelled_nulls(view):
+            solution = self.exchange(source)
+            base = self.skolemize(getattr(solution, "instance", solution), source)
+        return self.lens.put(self.skolemize(view, source), source, base)
+
+    def skolemize(self, view: Instance, source: Instance) -> Instance:
+        """*view*, an edit of ``exchange(source)``, as an edit of ``lens.get(source)``.
+
+        Each null the chase of *source* minted becomes the Skolem value
+        ``lens.get`` writes for the firing that minted it:
+        ``sk_<unit>_<var>(frontier values)``.  The map follows firings,
+        recomputed from *source* by
+        :func:`~repro.mapping.chase.st_tgd_phase` so that a view edited
+        in another process translates the same way; a homomorphism
+        search could send two tgds' nulls in one relation to one Skolem
+        value.  A fact deleted from the solution deletes its Skolem fact
+        even when other firings share it.  Other nulls pass through.
+        """
+        if not _has_labelled_nulls(view):
+            return view
+        with get_tracer().span("skolemize", view_facts=view.size()):
+            solution, minted = st_tgd_phase(self.mapping, source)
+            substitution: dict[Value, Value] = {}
+            for label, (tgd_index, variable, binding) in minted.items():
+                for unit in self._units_by_tgd[tgd_index]:
+                    if variable in unit.existentials:
+                        args = tuple(map(binding.__getitem__, unit.frontier))
+                        substitution[LabeledNull(label)] = unit.skolem(variable, args)
+            dropped = Instance(view.schema, _missing(solution, view))
+            dropped = dropped.map_values(substitution).facts()
+            return view.map_values(substitution).without_facts(dropped)
+
+    @cached_property
+    def _units_by_tgd(self) -> list[list[CompiledTgd]]:
+        """Each of the mapping's tgds' compiled units: its normalized parts."""
+        units = iter(self.lens.units)
+        return [[next(units) for _ in tgd.normalize()] for tgd in self.mapping.tgds]
 
     def show_plan(self) -> str:
         """The plan, rendered the way a database EXPLAIN would be."""

@@ -2,8 +2,9 @@
 
 Re-running the whole exchange after every source edit is the state-based
 worst case the delta-lens literature (paper, Section 3) exists to avoid.
-This module maintains the exchanged target incrementally, the classic
-semi-naive way:
+This module maintains the compiled lens's view (``lens.get``, whose
+Skolem values keep their identity across source edits, unlike the
+chase's renumbered nulls) incrementally, the classic semi-naive way:
 
 * an **inserted** source fact can only create target facts through
   premise bindings that *use* it: for each premise atom it matches, seed

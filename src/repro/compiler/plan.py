@@ -199,7 +199,7 @@ class MappingPlan:
 
         The verbose section pits the planner's estimates (from the
         gathered/assumed :class:`Statistics`) against the *observed*
-        per-unit fact counts the instrumented ``lens.get`` records in the
+        per-unit fact counts ``ExchangeEngine.exchange`` records in the
         global metrics registry — the feedback loop "highly informed by
         gathered statistics" needs.  Units never executed show ``—``.
         """

@@ -11,6 +11,8 @@ baseline bookkeeping that makes that case manageable:
 
 * one-sided edits flow through ``push_source`` / ``push_target`` (plain
   lens get/put against the stored baseline);
+* the target replica is ``lens.get``'s view, whose Skolem values (unlike
+  the chase's renumbered nulls) keep their identity across source edits;
 * :meth:`synchronize` handles two-sided edits: it diffs both replicas
   against their baselines, propagates the source edits forward, detects
   **conflicts** — target facts that the two sides drive in different
@@ -86,9 +88,9 @@ class SyncSession:
     """Stateful bidirectional synchronization over a compiled mapping."""
 
     def __init__(self, engine: ExchangeEngine, source: Instance) -> None:
-        self._engine = engine
+        self._lens = engine.lens
         self._source = source
-        self._target = engine.exchange(source)
+        self._target = self._lens.get(source)
 
     # -- state -------------------------------------------------------------
 
@@ -107,13 +109,13 @@ class SyncSession:
     def push_source(self, new_source: Instance) -> Instance:
         """The source was edited: refresh the target (lens get)."""
         self._source = new_source
-        self._target = self._engine.exchange(new_source)
+        self._target = self._lens.get(new_source)
         return self._target
 
     def push_target(self, new_target: Instance) -> Instance:
         """The target was edited: propagate back (lens put), then refresh."""
-        self._source = self._engine.put_back(new_target, self._source)
-        self._target = self._engine.exchange(self._source)
+        self._source = self._lens.put(new_target, self._source)
+        self._target = self._lens.get(self._source)
         return self._source
 
     # -- two-sided synchronization ----------------------------------------------
@@ -141,7 +143,7 @@ class SyncSession:
         stale-replica case, which is exactly when replicas need them.
         """
         source_delta_fwd = InstanceDelta.diff(
-            self._target, self._engine.exchange(new_source)
+            self._target, self._lens.get(new_source)
         )
         target_delta = InstanceDelta.diff(
             self._target if target_baseline is None else target_baseline,
@@ -160,12 +162,12 @@ class SyncSession:
         # Push the target side's surviving edits back into the edited
         # source; the merged target is re-derived from the merged source
         # so the lens invariant (target = get(source)) always holds.
-        merged_source = self._engine.put_back(
-            target_delta.apply(self._engine.exchange(new_source)),
+        merged_source = self._lens.put(
+            target_delta.apply(self._lens.get(new_source)),
             new_source,
         )
         self._source = merged_source
-        self._target = self._engine.exchange(merged_source)
+        self._target = self._lens.get(merged_source)
         return SyncOutcome(self._source, self._target, conflicts)
 
     # -- internals ---------------------------------------------------------------

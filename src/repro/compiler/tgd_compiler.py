@@ -29,10 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..logic.evaluation import evaluate, ground_atoms
+from ..logic.evaluation import evaluate
 from ..logic.formulas import Atom, Conjunction, ConstantPredicate, Equality, Inequality
 from ..logic.terms import Const, FuncTerm, Var
-from ..provenance.store import NOOP, ProvenanceStore
 from ..relational.algebra import (
     AlgebraExpression,
     Comparison,
@@ -198,16 +197,8 @@ class CompiledTgd:
         """
         return SkolemValue(f"sk_{self.tgd_id}_{variable.name}", frontier_values)
 
-    def forward_facts(
-        self, source: Instance, provenance: ProvenanceStore = NOOP
-    ) -> set[Fact]:
-        """The target facts this tgd derives from *source*.
-
-        With an enabled *provenance* store, each emitted fact records a
-        firing of this unit's tgd: the full premise binding (the plan
-        row), the grounded premise facts, and the canonical Skolem
-        values standing in for the existential positions.
-        """
+    def forward_facts(self, source: Instance) -> set[Fact]:
+        """The target facts this tgd derives from *source*."""
         rows = self.premise_plan.evaluate(source)
         frontier_positions = [self._plan_positions[v] for v in self._frontier]
         facts: set[Fact] = set()
@@ -215,53 +206,17 @@ class CompiledTgd:
             frontier_values = tuple(row[p] for p in frontier_positions)
             binding = dict(zip(self._frontier, frontier_values))
             out: list[Value] = []
-            invented: dict[Var, Value] = {}
             for term in self.conclusion_atom.terms:
                 if isinstance(term, Var):
                     if term in binding:
                         out.append(binding[term])
                     else:
-                        value = self.skolem(term, frontier_values)
-                        invented[term] = value
-                        out.append(value)
+                        out.append(self.skolem(term, frontier_values))
                 elif isinstance(term, Const):
                     out.append(term.value)
                 else:  # pragma: no cover - guarded at compile time
                     raise CompilerLimitation(f"function term {term!r} in conclusion")
-            fact = Fact(self.target_relation, tuple(out))
-            facts.add(fact)
-            if provenance.enabled:
-                full_binding = dict(zip(self.plan_variables, row))
-                # The plan may project out premise-only variables; recover
-                # one full witness binding by re-matching the premise with
-                # the plan row as seed (deterministic: first match wins).
-                premise_vars = {
-                    t
-                    for atom in self.tgd.premise.atoms()
-                    for t in atom.terms
-                    if isinstance(t, Var)
-                }
-                if not premise_vars <= full_binding.keys():
-                    witness = next(
-                        evaluate(self.tgd.premise, source, full_binding), None
-                    )
-                    if witness is not None:
-                        full_binding = witness
-                premise_facts = [
-                    Fact(relation, premise_row)
-                    for relation, premise_row in ground_atoms(
-                        self.tgd.premise.atoms(), full_binding
-                    )
-                ]
-                provenance.record_firing(
-                    self.tgd_id,
-                    self.tgd.to_text(),
-                    "st_tgds",
-                    premise_facts,
-                    full_binding,
-                    invented,
-                    (fact,),
-                )
+            facts.add(Fact(self.target_relation, tuple(out)))
         return facts
 
     # -- backward: pattern matching ------------------------------------------

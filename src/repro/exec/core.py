@@ -4,8 +4,8 @@ Every front end runs a request through :func:`execute` —
 ``ExchangeService.exchange``/``exchange_many``/``resume``/``request``/
 ``stream``, the HTTP server's pool workers
 (:func:`repro.service.streaming.exchange_payload`), and
-``ExchangeEngine.exchange`` when a backend, cache or workers is
-configured.  :func:`execute` picks the engine — the SQL backend, the
+``ExchangeEngine.exchange`` (so ``repro exchange`` too).
+:func:`execute` picks the engine — the SQL backend, the
 id-space or value-space chase, or the target-dependency chase that
 resumes a partial instance in place — and is the one place where budget
 exhaustion and step caps become a partial outcome.  :func:`through_cache`
@@ -14,7 +14,6 @@ is the one place the solution cache is read and written.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -44,7 +43,8 @@ class Outcome:
     universal solution, or the chase prefix when partial.  ``violated``
     and ``phase`` name the exhausted limit and the interrupted phase
     (partial only).  ``provenance`` is the run's lineage (``None``
-    without provenance); ``seconds`` the time the run took.
+    without provenance); ``statistics`` the chase's counters (``None``
+    when a SQL backend or the cache answered).
     """
 
     status: str
@@ -52,7 +52,6 @@ class Outcome:
     violated: str | None = None
     phase: str | None = None
     provenance: ProvenanceLog | None = None
-    seconds: float = 0.0
     statistics: ChaseStatistics | None = None
 
 
@@ -84,9 +83,9 @@ def execute(
     exhaustion and the step cap return a partial outcome, or raise when
     *degrade* is false; chase *failures* always raise.
     """
-    started = time.perf_counter()
     store = provenance if provenance is not None else NOOP
     backend = _answering_backend(backend, provenance is not None, partial is not None)
+    statistics = None
     try:
         if partial is not None:
             solution = chase_target_dependencies(
@@ -101,9 +100,10 @@ def execute(
         else:
             if id_path_applies(mapping, ChaseVariant.NAIVE, budget, store):
                 source.columnar()
-            solution = chase(
+            result = chase(
                 mapping, source, options=options, budget=budget, provenance=store
-            ).solution
+            )
+            solution, statistics = result.solution, result.statistics
     except BudgetExceeded as exc:
         if not degrade:
             raise
@@ -114,10 +114,7 @@ def execute(
         failure, violated, phase = exc, "max_steps", "target_dependencies"
     else:
         return Outcome(
-            "complete",
-            solution,
-            provenance=provenance,
-            seconds=time.perf_counter() - started,
+            "complete", solution, provenance=provenance, statistics=statistics
         )
     prefix = failure.partial
     if prefix is None:
@@ -128,7 +125,6 @@ def execute(
         violated,
         "target_dependencies" if partial is not None else phase,
         provenance,
-        time.perf_counter() - started,
         failure.statistics,
     )
 

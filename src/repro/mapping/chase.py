@@ -116,6 +116,8 @@ class ChaseStatistics:
     target_tgd_firings: int = 0
     nulls_created: int = 0
     rounds: int = 0
+    firings_by_tgd: dict[int, int] = field(default_factory=dict, repr=False)
+    """St-tgd firings per index into ``mapping.tgds`` (not published)."""
 
     def as_dict(self) -> dict[str, int]:
         """The counters as a plain dict (the JSON-able, drift-proof view)."""
@@ -299,6 +301,30 @@ def chase(
     return ChaseResult(target, stats, provenance)
 
 
+def st_tgd_phase(
+    mapping: SchemaMapping, source: Instance
+) -> tuple[Instance, dict[int, tuple[int, Var, Binding]]]:
+    """The st-tgd phase of ``chase(mapping, source)`` and who minted each null.
+
+    The map sends a fresh null's label to ``(tgd index, existential
+    variable, premise binding)`` of its firing.  Runs in id space when
+    it can and publishes nothing; both st-tgd paths fire in the
+    canonical binding order, so labels match every :func:`chase` of an
+    equal source.
+    """
+    factory = NullFactory()
+    factory.reserve_through(source.columnar().max_labeled_null())
+    stats = ChaseStatistics()
+    minted: dict[int, tuple[int, Var, Binding]] = {}
+    solution = _chase_st_tgds_ids(mapping, source, factory, stats, minted)
+    if solution is None:
+        facts = _chase_st_tgds(
+            mapping.tgds, source, ChaseVariant.NAIVE, factory, stats, minted=minted
+        )
+        solution = Instance(mapping.target, facts)
+    return solution, minted
+
+
 def _canonical_bindings(bindings: Iterable[Binding]) -> list[Binding]:
     """Sort bindings into a deterministic firing order.
 
@@ -328,6 +354,7 @@ def _chase_st_tgds_ids(
     source: Instance,
     factory: NullFactory,
     stats: ChaseStatistics,
+    minted: dict | None = None,
 ) -> Instance | None:
     """NAIVE st-tgd chase entirely in id space, or ``None`` when ineligible.
 
@@ -359,7 +386,8 @@ def _chase_st_tgds_ids(
     side conditions, Var/Const-only conclusions into untyped (``ANY``)
     columns for variables — typed columns fall back so the validating
     constructor's ``TypeError`` behavior is preserved — and conclusion
-    constants that type-check statically.
+    constants that type-check statically.  *minted* records each fresh
+    null's firing as :func:`st_tgd_phase` describes.
     """
     store = source.columnar_store
     if store is None or store.skolem_count():
@@ -441,7 +469,7 @@ def _chase_st_tgds_ids(
     fresh_labels = array("q")
     source_size = store.table_size()
     source_code = width_code(source_size)
-    for premise, existential_vars, specs in compiled:
+    for tgd_index, (premise, existential_vars, specs) in enumerate(compiled):
         evaluated = evaluate_premise_ids(premise, source)
         assert evaluated is not None  # gated above, per tgd
         variables, binding_columns, firings = evaluated
@@ -450,19 +478,27 @@ def _chase_st_tgds_ids(
         # Firing order: bindings sorted as id tuples over name-sorted
         # variables.
         var_columns = sort_id_columns(binding_columns, source_size, source_code)
+        n_exist = len(existential_vars)
+        fresh_base = null_base + len(fresh_labels)
+        fresh_end = fresh_base + n_exist * firings
+        if n_exist:
+            label = factory.fresh_block(n_exist * firings)
+            fresh_labels.extend(range(label, label + n_exist * firings))
+            if minted is not None:  # firing k's j-th null is label + k*n_exist + j
+                table = store.values
+                for ids in zip(*var_columns):
+                    binding = dict(zip(variables, map(table.__getitem__, ids)))
+                    for variable in existential_vars:
+                        minted[label] = (tgd_index, variable, binding)
+                        label += 1
         if shift and labeled_count:
             var_columns = [
                 [x if x < const_count else x + shift for x in column]
                 for column in var_columns
             ]
         var_pos = {v: i for i, v in enumerate(variables)}
-        n_exist = len(existential_vars)
-        fresh_base = null_base + len(fresh_labels)
-        fresh_end = fresh_base + n_exist * firings
-        if n_exist:
-            first_label = factory.fresh_block(n_exist * firings)
-            fresh_labels.extend(range(first_label, first_label + n_exist * firings))
         stats.tgd_firings += firings
+        stats.firings_by_tgd[tgd_index] = firings
         stats.nulls_created += n_exist * firings
         for relation, ops, has_existential in specs:
             # Frontier columns are the sorted binding columns, constants
@@ -511,6 +547,7 @@ def _chase_st_tgds(
     stats: ChaseStatistics,
     budget: Budget | None = None,
     provenance: ProvenanceStore = NOOP,
+    minted: dict | None = None,
 ) -> list[Fact]:
     facts: list[Fact] = []
     # STANDARD needs to consult the target built so far; build incrementally.
@@ -565,6 +602,8 @@ def _chase_st_tgds(
                 full_binding[existential] = fresh
                 existentials[existential] = fresh
                 stats.nulls_created += 1
+                if minted is not None:
+                    minted[fresh.label] = (tgd_index, existential, binding)
             fired: list[Fact] = []
             for relation, row in ground_atoms(conclusion_atoms, full_binding):
                 fact = Fact(relation, row)
@@ -575,6 +614,7 @@ def _chase_st_tgds(
                     bucket.add(row)
                     partial_version += 1
             stats.tgd_firings += 1
+            stats.firings_by_tgd[tgd_index] = stats.firings_by_tgd.get(tgd_index, 0) + 1
             if provenance.enabled:
                 premise_facts = [
                     Fact(relation, row)

@@ -1,12 +1,12 @@
 """Fact-level provenance for the exchange engine.
 
 Every path that creates or rewrites target facts — the chase, the
-compiled lens, the executor, the solution cache and the
-budgeted service — threads a :class:`ProvenanceStore` through its firing
-sites.  With provenance enabled the store is a :class:`ProvenanceLog`
-whose records justify every solution fact (``repro explain`` /
-:meth:`Solution.explain`); disabled, it is the shared :data:`NOOP`
-singleton costing one attribute check per firing.
+exchange core, the solution cache and the budgeted service — threads
+a :class:`ProvenanceStore` through its firing sites.  With provenance
+enabled the store is a :class:`ProvenanceLog` whose records justify
+every solution fact (``repro explain`` / :meth:`Solution.explain`);
+disabled, it is the shared :data:`NOOP` singleton costing one
+attribute check per firing.
 
 :func:`replay` is the soundness check: re-fire every recorded rule on
 its recorded justifying facts and verify the fact comes back.

@@ -19,7 +19,7 @@ from typing import Sequence
 from ..logic.evaluation import ground_atoms
 from ..logic.terms import Var
 from ..mapping.dependencies import Egd
-from ..mapping.sttgd import SchemaMapping, StTgd
+from ..mapping.sttgd import SchemaMapping
 from ..relational.instance import Fact, Instance
 from .model import fact_in, format_fact
 from .store import ProvenanceLog
@@ -68,29 +68,6 @@ class ReplayReport:
         return f"ReplayReport({self.verified}/{self.checked} verified, {status})"
 
 
-_PARSED_TGDS: dict[str, StTgd] = {}
-
-
-def _sttgd_from_text(text: str) -> StTgd | None:
-    """Parse (and cache) a recorded st-tgd back from its text form.
-
-    Recorded rule texts are authoritative: the lens path numbers its
-    units over the *normalized* tgd list, so looking rules up by id
-    against ``mapping.tgds`` could fetch the wrong rule — the text
-    round-trip cannot.
-    """
-    try:
-        return _PARSED_TGDS[text]
-    except KeyError:
-        try:
-            parsed = StTgd.parse(text)
-        except ValueError:
-            return None
-        if len(_PARSED_TGDS) < 1024:
-            _PARSED_TGDS[text] = parsed
-        return parsed
-
-
 def _named_to_binding(named) -> dict[Var, object]:
     return {Var(name): value for name, value in named}
 
@@ -108,6 +85,9 @@ def replay(
     facts are additionally checked to be real input facts.
     """
     instance = getattr(solution, "instance", solution)
+    # St-tgd firings are recorded with the rule's own text, so a log
+    # replays against the mapping it came from, whatever process wrote it.
+    st_rules = {tgd.to_text(): tgd for tgd in mapping.tgds}
     dependencies: Sequence = tuple(mapping.target_dependencies)
     dependency_rules = {f"dep_{i}": dep for i, dep in enumerate(dependencies)}
     report = ReplayReport()
@@ -120,7 +100,8 @@ def replay(
             )
             continue
         issue = _verify_derivation(
-            fact, derivations[0], dependency_rules, dependencies, provenance, source
+            fact, derivations[0], st_rules, dependency_rules, dependencies,
+            provenance, source,
         )
         if issue is None:
             report.verified += 1
@@ -134,9 +115,9 @@ def replay(
     return report
 
 
-def _resolve_rule(derivation, dependency_rules, dependencies):
+def _resolve_rule(derivation, st_rules, dependency_rules, dependencies):
     if derivation.phase == "st_tgds":
-        return _sttgd_from_text(derivation.rule_text)
+        return st_rules.get(derivation.rule_text)
     rule = dependency_rules.get(derivation.rule_id)
     if rule is not None and repr(rule) == derivation.rule_text:
         return rule
@@ -147,9 +128,9 @@ def _resolve_rule(derivation, dependency_rules, dependencies):
 
 
 def _verify_derivation(
-    fact, derivation, dependency_rules, dependencies, provenance, source
+    fact, derivation, st_rules, dependency_rules, dependencies, provenance, source
 ):
-    rule = _resolve_rule(derivation, dependency_rules, dependencies)
+    rule = _resolve_rule(derivation, st_rules, dependency_rules, dependencies)
     if rule is None:
         return ReplayIssue(
             fact, derivation.rule_id, "recorded rule is not a rule of the mapping"

@@ -1,10 +1,10 @@
 """Provenance stores: the recording log and its disabled no-op twin.
 
-Mirrors the :mod:`repro.obs` enablement pattern: the chase and the
-compiled lens thread a :class:`ProvenanceStore` through every firing
-site, and when provenance is off that store is the shared :data:`NOOP`
-singleton — one attribute check (``provenance.enabled``) per firing, no
-allocation, no recording (the disabled-mode overhead is benchmarked in
+Mirrors the :mod:`repro.obs` enablement pattern: the chase threads a
+:class:`ProvenanceStore` through every firing site, and when provenance
+is off that store is the shared :data:`NOOP` singleton — one attribute
+check (``provenance.enabled``) per firing, no allocation, no recording
+(the disabled-mode overhead is benchmarked in
 ``benchmarks/bench_provenance.py``).
 
 :class:`ProvenanceLog` is the recording store.  Its records

@@ -33,14 +33,15 @@ class TestEngineKnobs:
     def test_default_compile_has_no_executor(self):
         engine = ExchangeEngine.compile(join_mapping())
         assert engine.cache is None
-        assert not engine.runs_core  # exchange is exactly lens.get
+        source = clustered_source()
+        # exchange is exactly the chase, cache or no cache
+        assert engine.exchange(source) == universal_solution(engine.mapping, source)
 
     def test_workers_knob_routes_exchange_through_executor(self):
         engine = ExchangeEngine.compile(
             join_mapping(),
             options=ExchangeOptions(workers=2),
         )
-        assert engine.runs_core
         source = clustered_source()
         result = engine.exchange(source)
         assert canonically_equal(

@@ -109,7 +109,7 @@ class TestTraceFlags:
         captured = capsys.readouterr()
         restored = loads_instance(captured.out)  # stdout unpolluted
         assert len(restored.rows("Manager")) == 2
-        assert "── lens.get" in captured.err
+        assert "── chase" in captured.err
         assert "Metrics" in captured.err
 
     def test_trace_json_writes_parseable_lines(self, files, capsys):
@@ -129,7 +129,7 @@ class TestTraceFlags:
         assert lines
         records = [json.loads(line) for line in lines]
         names = {record["name"] for record in records}
-        assert "lens.get" in names and "compile" in names
+        assert "chase" in names and "compile" in names
         roots = [r for r in records if r["parent"] is None]
         assert all(r["duration"] >= 0 for r in records)
         assert roots
