@@ -15,7 +15,8 @@ Two st-tgd chase variants are provided:
 * ``STANDARD`` (a.k.a. restricted): fire only when the conclusion is not
   already witnessed.  Produces a (possibly smaller) universal solution.
 
-Egd steps unify values, preferring constants; unifying two distinct
+Egd steps unify values, preferring constants and, of two labelled
+nulls, the first-minted; unifying two distinct
 constants raises :class:`ChaseFailure` (the mapping has no solution).
 Target-tgd steps are restricted-chase and guarded by a step limit, with
 :func:`~repro.mapping.dependencies.is_weakly_acyclic` available as a
@@ -50,6 +51,7 @@ from ..relational.homomorphism import core as core_of
 from ..relational.instance import Fact, Instance, Row
 from ..relational.schema import AttributeType, Schema
 from ..relational.values import (
+    LabeledNull,
     NullFactory,
     Value,
     is_constant,
@@ -822,8 +824,14 @@ def _egd_step(
             raise ChaseFailure(
                 f"egd {egd!r} forces distinct constants {left!r} = {right!r}"
             )
-        # Map the null onto the other value (keep constants).
-        if is_constant(left):
+        # Map the null onto the other value (keep constants).  Of two
+        # labelled nulls keep the first-minted one, so the survivor does
+        # not depend on the order the premise's bindings come in.
+        if is_constant(left) or (
+            isinstance(left, LabeledNull)
+            and isinstance(right, LabeledNull)
+            and value_sort_key(left) < value_sort_key(right)
+        ):
             old, new = right, left
         else:
             old, new = left, right

@@ -5,17 +5,26 @@ library only, by design): one event loop accepts any number of
 concurrent connections, and each request is admitted through
 :meth:`ExchangeService.plan <repro.service.ExchangeService.plan>` in the
 loop — the same step as every library entry point, cache lookup
-included.  A cache miss's CPU-bound payload is dispatched to the
-server's worker pool via ``loop.run_in_executor`` — the loop never
-blocks on a chase, so a slow exchange cannot starve its neighbours'
-accepts or streams.
+included.  A cache miss runs in one of two places:
+
+* **on the loop** — :meth:`RequestPlan.run
+  <repro.service.RequestPlan.run>`, called directly, when the id-space
+  chase takes the request (no budget, lineage, target dependencies, SQL
+  backend or resumption) and its source holds at most
+  :data:`INLINE_MAX_FACTS` facts.  Such a chase costs less than the
+  process hop around it, and the loop is blocked for the chase alone;
+* **on the worker pool** — everything else: the request is packed
+  (:meth:`RequestPlan.payload`) and run by
+  :func:`~repro.service.streaming.exchange_payload` via
+  ``loop.run_in_executor``, so a slow exchange cannot starve its
+  neighbours' accepts or streams.
 
 Pool failures (spawn errors, a killed worker) are retried with
 exponential backoff + jitter under the service's
 :class:`~repro.options.RetryPolicy`; repeated failures open the
 service's :class:`~repro.exec.retry.CircuitBreaker`.  When retries run
-out or the breaker is open, the payload runs in process on a thread, so
-a broken pool costs throughput, never an answer.  Both seams carry
+out or the breaker is open, :meth:`RequestPlan.run` runs on a thread,
+so a broken pool costs throughput, never an answer.  Both seams carry
 :func:`~repro.faults.fault_point` hooks (``"pool.spawn"``,
 ``"pool.map"``) for the fault-injection harness.
 
@@ -52,11 +61,13 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Awaitable, Callable, Mapping
 
+from ..exec.core import Outcome
 from ..faults import fault_point
-from ..mapping.chase import ChaseFailure
+from ..mapping.chase import ChaseFailure, ChaseVariant, id_path_applies
 from ..obs import get_registry, get_tracer
+from ..provenance.store import NOOP
 from .api import ExchangeRequest, ExchangeResponse
-from .service import ExchangeService
+from .service import ExchangeService, RequestPlan
 from .streaming import (
     DEFAULT_CHUNK_FACTS,
     exchange_payload,
@@ -70,6 +81,15 @@ __all__ = ["ExchangeClient", "ExchangeServer"]
 MAX_BODY_BYTES = 64 * 1024 * 1024
 """Request-body ceiling; a source bigger than this should arrive as a
 file next to the server, not through one POST."""
+
+INLINE_MAX_FACTS = 1024
+"""Largest source, in facts, whose cache miss may run on the event loop.
+
+At this size the id-space chase of a join mapping costs about one fixed
+pool round trip (``benchmarks/bench_inline_route.py``; the table is in
+docs/PERFORMANCE.md, "Where a request runs").  So an inline request
+blocks its neighbours for about as long as the pool would have delayed
+the request itself.  Larger sources go to the worker pool."""
 
 _MAX_HEADER_BYTES = 64 * 1024
 _IO_TIMEOUT = 60.0
@@ -132,7 +152,9 @@ class ExchangeServer:
     >>> await server.serve_forever()  # or: await server.aclose()
 
     The server owns the service's worker pool: ``options.workers``
-    processes (default 2), so request payloads leave the event loop.
+    processes (default 2).  Small id-space requests run on the event
+    loop; every other cache miss leaves it for the pool (see the module
+    docstring and :data:`INLINE_MAX_FACTS`).
     Every connection handles one request (``Connection: close``)
     — load balancers in front of an exchange fleet reconnect per
     request anyway, and it keeps the protocol state machine trivial.
@@ -282,19 +304,22 @@ class ExchangeServer:
                 breaker.record_success()
                 return result
 
-    async def _run_payload(self, payload: dict[str, Any]) -> dict[str, Any]:
-        """One payload's outcome: on the pool, in process as the last resort."""
+    async def _run_pooled(self, plan: RequestPlan) -> Outcome:
+        """*plan*'s outcome: on the pool, in process on a thread as the last resort."""
         loop = asyncio.get_running_loop()
+        payload = plan.payload()
 
-        def dispatch(pool):
+        async def dispatch(pool):
             fault_point("pool.map")
-            return loop.run_in_executor(pool, exchange_payload, payload)
+            return outcome_from_dict(
+                await loop.run_in_executor(pool, exchange_payload, payload)
+            )
 
-        def in_process():
-            return loop.run_in_executor(None, exchange_payload, payload)
+        async def in_process():
+            return await loop.run_in_executor(None, plan.run)
 
         return await self._pooled(
-            dispatch, in_process, deadline_at=payload.get("deadline_at")
+            dispatch, in_process, deadline_at=payload["deadline_at"]
         )
 
     # -- connection handling -------------------------------------------------
@@ -426,16 +451,22 @@ class ExchangeServer:
         registry = get_registry()
         with plan:
             registry.increment("service.http.requests")
+            inline = plan.cached is None and self._runs_inline(plan)
             with get_tracer().span(
                 "service.http",
                 tenant=request.tenant,
                 request_id=request.request_id,
                 stream=stream,
+                inline=inline,
             ):
                 try:
-                    outcome = plan.cached or outcome_from_dict(
-                        await self._run_payload(plan.payload())
-                    )
+                    if plan.cached is not None:
+                        outcome = plan.cached
+                    elif inline:
+                        registry.increment("service.http.inline")
+                        outcome = plan.run()
+                    else:
+                        outcome = await self._run_pooled(plan)
                     response = plan.respond(outcome)
                 except ChaseFailure as exc:
                     raise _HttpError(422, "unsatisfiable", str(exc))
@@ -444,6 +475,24 @@ class ExchangeServer:
                     await self._stream_response(writer, response)
                 else:
                     await self._write_body(writer, 200, response.to_json())
+
+    def _runs_inline(self, plan: RequestPlan) -> bool:
+        """Whether a cache miss of *plan* runs on the event loop.
+
+        Only when the id-space chase takes it — the interpreted engine,
+        no resumption, no lineage, no budget, no target dependencies —
+        and its source is at most :data:`INLINE_MAX_FACTS` facts.
+        """
+        engine = self._service.engine
+        return (
+            engine.backend is None
+            and plan.partial is None
+            and not plan.options.wants_provenance
+            and id_path_applies(
+                engine.mapping, ChaseVariant.NAIVE, plan.budget, NOOP
+            )
+            and plan.request.source.size() <= INLINE_MAX_FACTS
+        )
 
     async def _stream_response(
         self, writer: asyncio.StreamWriter, response: ExchangeResponse

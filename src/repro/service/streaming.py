@@ -11,10 +11,12 @@ one response body.  Two front ends stream:
 
 Both yield facts in :meth:`Instance.facts` order, the buffered reply's.
 
-The HTTP server runs requests on worker processes: :func:`request_payload`
-packs one request, :func:`exchange_payload` (in the worker) unpacks it,
-runs the exchange core (:func:`repro.exec.core.execute`) and packs the
-outcome, and :func:`outcome_from_dict` unpacks that in the parent.  Both
+The HTTP server runs on worker processes every request it does not
+answer on its event loop (:data:`repro.service.aserve.INLINE_MAX_FACTS`):
+:func:`request_payload` packs one request, :func:`exchange_payload` (in
+the worker) unpacks it, runs the exchange core
+(:func:`repro.exec.core.execute`) and packs the outcome, and
+:func:`outcome_from_dict` unpacks that in the parent.  Both
 unpacks defer the value table, so neither side builds value objects for
 a request the id-space chase takes.
 :class:`StreamSession` bundles those steps for callers that run payloads

@@ -277,6 +277,7 @@ class TestErrorsOverHttp:
 
 
 class TestPoolRecovery:
+    @pytest.mark.usefixtures("pool_only")
     def test_killed_worker_does_not_break_later_requests(self):
         source = simple_source(6)
         body = {"source": instance_to_json(source)}

@@ -103,6 +103,7 @@ class TestServeBench:
         assert report["clean_shutdown"] is True
         assert report["degraded"] == {}
 
+    @pytest.mark.usefixtures("pool_only")
     def test_fault_injected_run_counts_retries(self, files, capsys):
         code, out = run(
             capsys,

@@ -21,6 +21,9 @@ from repro.service.aserve import ExchangeClient, ExchangeServer
 from repro.service.faults import FaultPlan, fault_injection
 
 
+# Small requests run on the server's event loop; these tests are about the pool.
+pytestmark = pytest.mark.usefixtures("pool_only")
+
 SRC = schema(relation("Emp", "name", "dept"), relation("Dept", "dept", "head"))
 TGT = schema(relation("Office", "name", "head", "room"))
 
