@@ -66,6 +66,7 @@ from __future__ import annotations
 
 import argparse
 import asyncio
+import gc
 import json
 import os
 import random
@@ -781,6 +782,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 loop.add_signal_handler(signum, stop.set)
             except (NotImplementedError, RuntimeError):  # pragma: no cover
                 pass
+        # Move the startup heap (modules, mapping, compiled engine) out
+        # of the collector's reach before the pool forks: full
+        # collections then walk only what requests allocate, and the
+        # workers inherit the frozen generation.
+        gc.collect()
+        gc.freeze()
         await server.start()
         print(
             f"repro serve: listening on http://{args.host}:{server.port}",

@@ -195,7 +195,11 @@ class CompiledTgd:
         forward direction is deterministic and two firings with the same
         frontier agree (the core-like minimal choice).
         """
-        return SkolemValue(f"sk_{self.tgd_id}_{variable.name}", frontier_values)
+        return SkolemValue(self.skolem_function(variable), frontier_values)
+
+    def skolem_function(self, variable: Var) -> str:
+        """The name of this unit's Skolem function for *variable*."""
+        return f"sk_{self.tgd_id}_{variable.name}"
 
     def forward_facts(self, source: Instance) -> set[Fact]:
         """The target facts this tgd derives from *source*."""
@@ -222,7 +226,13 @@ class CompiledTgd:
     # -- backward: pattern matching ------------------------------------------
 
     def produces(self, fact: Fact) -> bool:
-        """Whether this unit's conclusion pattern can match *fact*."""
+        """Whether this unit's conclusion pattern can match *fact*.
+
+        At an existential position a :class:`SkolemValue` must be this
+        unit's own for that variable: a value another tgd's Skolem
+        function minted names that tgd's firing, even when both tgds
+        write the relation in the same shape.
+        """
         if fact.relation != self.target_relation:
             return False
         if len(fact.row) != self.conclusion_atom.arity:
@@ -233,6 +243,12 @@ class CompiledTgd:
                 if term.value != value:
                     return False
             elif isinstance(term, Var):
+                if (
+                    isinstance(value, SkolemValue)
+                    and term in self._existentials
+                    and value.function != self.skolem_function(term)
+                ):
+                    return False
                 if term in binding and binding[term] != value:
                     # Repeated *frontier* variables must agree; repeated
                     # existentials regenerate canonically, so they must

@@ -229,7 +229,10 @@ class ColumnStore:
     (:mod:`repro.mapping.chase`), the flat-buffer decoder
     (:func:`unpack_instance`) and the JSON decoder build stores this
     way, and fingerprinting, packing and writing JSON never need value
-    objects at all.
+    objects at all.  A store never changes once built, so the digest,
+    the packed buffer and the JSON fact texts
+    (:func:`~repro.relational.serialization.fact_texts`, one tuple per
+    separator style) are memoized on it.
 
     ``canonical`` stores additionally guarantee the value table is
     sorted by :func:`value_sort_key`, rows are sorted as id tuples, and
@@ -255,6 +258,7 @@ class ColumnStore:
         "_used",
         "_digest",
         "_packed",
+        "_fact_texts",
     )
 
     def __init__(
@@ -281,6 +285,7 @@ class ColumnStore:
         self._used: list[int] | None = None
         self._digest: str | None = None
         self._packed: bytes | None = None
+        self._fact_texts: dict[tuple[str, str], tuple[str, ...]] = {}
 
     @property
     def values(self) -> list[Value]:

@@ -305,22 +305,35 @@ def _value_texts(store, separators: tuple[str, str]) -> list[str]:
 
 def fact_texts(
     instance: Instance, separators: tuple[str, str] = (", ", ": ")
-) -> list[str]:
+) -> tuple[str, ...]:
     """Each fact's JSON text, in :meth:`Instance.facts` order.
 
     Item *i* is ``json.dumps(instance_to_json(instance)["facts"][i],
     separators=separators)``, byte for byte.  A store-backed instance
     is written from its id columns: each distinct value is encoded once
     (``str`` and ``int`` without a ``json.dumps`` call) and a row joins
-    its cells' texts, so no value object is built.  Other instances
-    encode fact by fact.
+    its cells' texts, so no value object is built.  The texts are then
+    kept on the store as a tuple, one per *separators* style: a store
+    never changes, so a cached solution served again writes its reply
+    from them without encoding anything.  Other instances encode fact
+    by fact.
     """
     store = _stored_rows(instance)
     if store is None:
-        return [
+        return tuple(
             json.dumps(_fact_to_json(f.relation, f.row), separators=separators)
             for f in instance.facts()
-        ]
+        )
+    memo = store._fact_texts.get(separators)
+    if memo is None:
+        memo = store._fact_texts[separators] = tuple(
+            _store_fact_texts(store, separators)
+        )
+    return memo
+
+
+def _store_fact_texts(store, separators: tuple[str, str]) -> list[str]:
+    """:func:`fact_texts` of a store-backed instance, written from *store*."""
     item_sep = separators[0]
     texts = _value_texts(store, separators)
     out: list[str] = []

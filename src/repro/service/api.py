@@ -438,7 +438,9 @@ class ExchangeResponse:
 
         The facts are written from the solution's id columns
         (:func:`~repro.relational.serialization.instance_json_text`), so
-        a store-backed solution builds no value objects on the way out.
+        a store-backed solution builds no value objects on the way out,
+        and a cached one served again reuses the fact texts its store
+        kept the first time.
         """
         head = json.dumps(self.as_dict(include_facts=False))
         return f'{head[:-1]}, "facts": {instance_json_text(self.facts)}}}'

@@ -10,8 +10,9 @@ included.  A cache miss runs in one of two places:
 * **on the loop** — :meth:`RequestPlan.run
   <repro.service.RequestPlan.run>`, called directly, when the id-space
   chase takes the request (no budget, lineage, target dependencies, SQL
-  backend or resumption) and its source holds at most
-  :data:`INLINE_MAX_FACTS` facts.  Such a chase costs less than the
+  backend or resumption) and both its source and its estimated answer
+  (:func:`estimated_target_facts`) hold at most :data:`INLINE_MAX_FACTS`
+  facts.  Such a chase costs less than the
   process hop around it, and the loop is blocked for the chase alone;
 * **on the worker pool** — everything else: the request is packed
   (:meth:`RequestPlan.payload`) and run by
@@ -64,8 +65,11 @@ from typing import Any, Awaitable, Callable, Mapping
 from ..exec.core import Outcome
 from ..faults import fault_point
 from ..mapping.chase import ChaseFailure, ChaseVariant, id_path_applies
+from ..mapping.sttgd import SchemaMapping
 from ..obs import get_registry, get_tracer
 from ..provenance.store import NOOP
+from ..relational.instance import Instance
+from ..stats import Statistics
 from .api import ExchangeRequest, ExchangeResponse
 from .service import ExchangeService, RequestPlan
 from .streaming import (
@@ -83,13 +87,16 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 file next to the server, not through one POST."""
 
 INLINE_MAX_FACTS = 1024
-"""Largest source, in facts, whose cache miss may run on the event loop.
+"""Largest source, and largest estimated answer, in facts, whose cache
+miss may run on the event loop.
 
 At this size the id-space chase of a join mapping costs about one fixed
 pool round trip (``benchmarks/bench_inline_route.py``; the table is in
 docs/PERFORMANCE.md, "Where a request runs").  So an inline request
 blocks its neighbours for about as long as the pool would have delayed
-the request itself.  Larger sources go to the worker pool."""
+the request itself.  Larger sources, and small sources whose join the
+statistics estimate to emit more facts (a cross product), go to the
+worker pool."""
 
 _MAX_HEADER_BYTES = 64 * 1024
 _IO_TIMEOUT = 60.0
@@ -481,9 +488,12 @@ class ExchangeServer:
 
         Only when the id-space chase takes it — the interpreted engine,
         no resumption, no lineage, no budget, no target dependencies —
-        and its source is at most :data:`INLINE_MAX_FACTS` facts.
+        and both its source and its estimated answer
+        (:func:`estimated_target_facts`) are at most
+        :data:`INLINE_MAX_FACTS` facts.
         """
         engine = self._service.engine
+        source = plan.request.source
         return (
             engine.backend is None
             and plan.partial is None
@@ -491,7 +501,8 @@ class ExchangeServer:
             and id_path_applies(
                 engine.mapping, ChaseVariant.NAIVE, plan.budget, NOOP
             )
-            and plan.request.source.size() <= INLINE_MAX_FACTS
+            and source.size() <= INLINE_MAX_FACTS
+            and estimated_target_facts(engine.mapping, source) <= INLINE_MAX_FACTS
         )
 
     async def _stream_response(
@@ -545,6 +556,22 @@ class ExchangeServer:
             + payload
         )
         await writer.drain()
+
+
+def estimated_target_facts(mapping: SchemaMapping, source: Instance) -> float:
+    """The facts the st-tgds are estimated to emit over *source*.
+
+    Each tgd's binding count is :meth:`Statistics.estimate_bindings`'
+    System-R estimate over the source store's row counts and distinct
+    ids (:meth:`Statistics.of_store`), times its conclusion atoms.  A
+    single-atom premise's estimate is its row count.
+    """
+    statistics = Statistics.of_store(source.columnar())
+    return sum(
+        statistics.estimate_bindings(tgd.premise, mapping.source)
+        * len(tgd.conclusion.atoms())
+        for tgd in mapping.tgds
+    )
 
 
 def _ndjson(obj: Mapping[str, Any]) -> bytes:

@@ -60,6 +60,24 @@ class Statistics:
         return cls(out)
 
     @classmethod
+    def of_store(cls, store) -> "Statistics":
+        """:meth:`gather`'s statistics read off a column store's id arrays.
+
+        A column's distinct count is the number of distinct ids in it
+        (one id per value), so no value row is built.
+        """
+        out: dict[str, RelationStatistics] = {}
+        for rel in store.schema:
+            distinct = {
+                attr.name: len(set(column))
+                for attr, column in zip(rel.attributes, store.columns[rel.name])
+            }
+            out[rel.name] = RelationStatistics(
+                rel.name, store.counts[rel.name], distinct
+            )
+        return cls(out)
+
+    @classmethod
     def assumed(cls, schema: Schema, default_cardinality: int = 1000) -> "Statistics":
         """Uniform assumptions when no instance is available at plan time."""
         return cls(

@@ -1,6 +1,7 @@
 """Where ``POST /v1/exchange`` runs a cache miss: the event loop or the pool.
 
 A small request the id-space chase takes runs on the server's event loop
+when its source and its estimated answer are both small
 (:data:`repro.service.aserve.INLINE_MAX_FACTS`); every other request goes
 to the worker pool.  The two routes must give the same reply, the inline
 one must not touch the pool, and every reason to decline must still send
@@ -166,6 +167,32 @@ class TestDeclinedRequestsTakeThePool:
         with ExchangeService(e1_mapping()) as service:
             _, counters, _ = served(service, [body])
         assert counters["service.http.inline"] == 1
+
+    def test_e1_request_of_100_rows_runs_inline(self):
+        source = e1_source(100)
+        assert aserve.estimated_target_facts(e1_mapping(), source) == 100
+        body = {"source": instance_to_json(source), "stream": False}
+        with ExchangeService(e1_mapping()) as service:
+            _, counters, (span,) = served(service, [body])
+        assert counters["service.http.inline"] == 1
+        assert span.attributes["inline"] is True
+
+    def test_cross_product_above_the_constant(self):
+        # A small source whose answer is not: 40 + 40 facts, 1,600 out.
+        mapping = SchemaMapping.parse(
+            schema(relation("A", "x"), relation("B", "y")),
+            schema(relation("P", "x", "y")),
+            "A(x), B(y) -> P(x, y)",
+        )
+        source = instance(
+            mapping.source,
+            {"A": [[f"a{i}"] for i in range(40)], "B": [[f"b{i}"] for i in range(40)]},
+        )
+        assert source.size() <= aserve.INLINE_MAX_FACTS
+        assert aserve.estimated_target_facts(mapping, source) == 1600
+        body = {"source": instance_to_json(source), "stream": False}
+        (reply,) = self.assert_pooled(mapping, [body])
+        assert reply["fact_count"] == 1600
 
     def test_source_above_the_constant(self):
         rows = aserve.INLINE_MAX_FACTS + 1

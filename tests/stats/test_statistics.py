@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.relational import instance, relation, schema
+from repro.relational import dumps_instance, instance, loads_instance, relation, schema
 from repro.stats import RelationStatistics, Statistics
 
 
@@ -36,6 +36,13 @@ class TestGather:
         _, inst = db
         stats = Statistics.gather(inst)
         assert stats.cardinality("Nope") == 0
+
+    def test_store_statistics_match_gathered_ones(self, db):
+        _, inst = db
+        # A decoded source reads its rows from the store; of_store builds none.
+        decoded = loads_instance(dumps_instance(inst))
+        assert Statistics.of_store(decoded.columnar()) == Statistics.gather(inst)
+        assert decoded._rels is None
 
 
 class TestEstimates:
