@@ -37,6 +37,7 @@ import time
 from pathlib import Path
 
 from repro.budget import Budget
+from repro.cli import _latency_percentiles
 from repro.compiler import ExchangeEngine
 from repro.mapping import universal_solution
 from repro.options import ExchangeOptions
@@ -63,14 +64,6 @@ def timed(fn, repeat: int) -> float:
     return pystats.median(samples)
 
 
-def percentile(sorted_values: list[float], q: float) -> float:
-    """Nearest-rank percentile of an already-sorted sample."""
-    if not sorted_values:
-        return 0.0
-    index = min(len(sorted_values) - 1, int(q * (len(sorted_values) - 1) + 0.5))
-    return sorted_values[index]
-
-
 def serve_bench(size: int, requests: int) -> dict:
     """Latency distribution of a request stream through one service."""
     mapping, source = build_workload(size)
@@ -85,13 +78,10 @@ def serve_bench(size: int, requests: int) -> dict:
             service.exchange(source)
             latencies.append(time.perf_counter() - begin)
     elapsed = time.perf_counter() - started
-    latencies.sort()
     return {
         "size": size,
         "requests": requests,
-        "latency_p50_ms": round(percentile(latencies, 0.50) * 1000, 3),
-        "latency_p95_ms": round(percentile(latencies, 0.95) * 1000, 3),
-        "latency_p99_ms": round(percentile(latencies, 0.99) * 1000, 3),
+        **_latency_percentiles(latencies),
         "throughput_rps": round(requests / elapsed, 3) if elapsed > 0 else 0.0,
     }
 
@@ -148,7 +138,6 @@ def http_serve_bench(size: int, requests: int, concurrency: int) -> dict:
         statistics=Statistics.gather(source),
     ) as service:
         elapsed = asyncio.run(run())
-    latencies.sort()
     completed = len(latencies)
     return {
         "size": size,
@@ -156,9 +145,7 @@ def http_serve_bench(size: int, requests: int, concurrency: int) -> dict:
         "concurrency": concurrency,
         "completed": completed,
         "errors": errors,
-        "latency_p50_ms": round(percentile(latencies, 0.50) * 1000, 3),
-        "latency_p95_ms": round(percentile(latencies, 0.95) * 1000, 3),
-        "latency_p99_ms": round(percentile(latencies, 0.99) * 1000, 3),
+        **_latency_percentiles(latencies),
         "throughput_rps": round(completed / elapsed, 3) if elapsed > 0 else 0.0,
     }
 
@@ -223,10 +210,7 @@ def main() -> int:
         )
 
         engine = ExchangeEngine.compile(mapping, Statistics.gather(source))
-        try:
-            engine_median = timed(lambda: engine.exchange(source), args.repeat)
-        finally:
-            engine.close()
+        engine_median = timed(lambda: engine.exchange(source), args.repeat)
 
         with ExchangeService(
             mapping, options, statistics=Statistics.gather(source)

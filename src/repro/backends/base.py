@@ -12,11 +12,14 @@ that is a configuration error, not a property of the mapping.
 
 :class:`SqlExchangeBackend` is the engine-agnostic half of execution:
 every run opens a fresh in-memory database and drives four phases —
-**load** (bulk ``executemany`` of interned ids into ``src_*`` tables),
-**compile** (DDL plus the evaluator-derived index hints), **execute**
-(per-tgd fused statements — or bindings temp tables where fusing is
-unavailable — plus fresh-null offset allocation), **extract** (decoding
-fetched id rows through the interner into a target :class:`Instance`).
+**load** (bulk ``executemany`` of the id columns of the source's
+canonical :class:`~repro.relational.columnar.ColumnStore` into ``src_*``
+tables), **compile** (DDL plus the evaluator-derived index hints),
+**execute** (per-tgd fused statements — or bindings temp tables where
+fusing is unavailable — plus fresh-null offset allocation), **extract**
+(the fetched id rows become the columns of the answer's store, with no
+value built per cell).  Source, program and answer share one id space:
+the one the id-space chase gives its answers.
 When every block fused to a single statement the execute phase runs the
 SELECT halves directly and never materializes target tables.  Each phase is
 timed into ``last_phase_timings`` (what ``repro profile`` prints),
@@ -30,21 +33,21 @@ from __future__ import annotations
 
 import gc
 import time
+from array import array
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Any
 
 from ..budget import Budget
 from ..mapping.sttgd import SchemaMapping
 from ..obs import get_registry, get_tracer
+from ..relational.columnar import ColumnStore, width_code
 from ..relational.instance import Instance
-from ..relational.serialization import (
-    ValueInterner,
-    instance_from_id_rows,
-    row_codec,
-)
+from ..relational.schema import AttributeType, Schema
 from ..relational.values import NullFactory
 from ..stats import Statistics
 from .sql import (
+    CONSTANTS,
     OFFSET,
     CompilationReport,
     FallbackReason,
@@ -79,7 +82,7 @@ class SqlExchangeBackend:
     DB-API connection) and :meth:`available`; everything else — loading,
     null minting, budget discipline, observability — is common.  A
     backend is stateless between runs: every :meth:`exchange` call gets
-    its own connection, interner and null factory, so concurrent calls
+    its own connection, id layout and null factory, so concurrent calls
     from the service executor never share mutable state.
     """
 
@@ -123,12 +126,12 @@ class SqlExchangeBackend:
         ) as span:
             connection = self._connect()
             # The bulk phases allocate hundreds of thousands of short
-            # id tuples and decoded values, none of which can form
-            # reference cycles; cyclic-GC passes triggered by that
-            # churn re-traverse the caller's whole live heap and were
-            # measured at ~a third of the runtime on 100k-row loads.
-            # Suspend collection (not allocation accounting) for the
-            # run and restore the caller's setting after.
+            # id tuples, none of which can form reference cycles;
+            # cyclic-GC passes triggered by that churn re-traverse the
+            # caller's whole live heap and were measured at ~a third of
+            # the runtime on 100k-row loads.  Suspend collection (not
+            # allocation accounting) for the run and restore the
+            # caller's setting after.
             gc_was_enabled = gc.isenabled()
             if gc_was_enabled:
                 gc.disable()
@@ -136,51 +139,55 @@ class SqlExchangeBackend:
                 # When every block compiled to a fused single statement,
                 # its SELECT half alone already produces the final rows:
                 # fetch those directly and never materialize target
-                # tables.  (Equal ground rows from multi-writer tables
-                # collapse in the decoded frozenset exactly as DISTINCT
-                # would collapse them.)
+                # tables.
                 select_only = all(
                     tgd.fused_insert is not None for tgd in program.tgds
                 )
                 started = time.perf_counter()
-                # A source with an attached canonical column store loads
-                # without per-row encoding: the interner is seeded in
-                # table order (so it agrees with the store's ids by
-                # construction) and the id vectors stream straight into
-                # executemany through a C-speed zip.
-                store = source.columnar_store
-                if store is not None and not store.canonical:
-                    store = None
-                interner = (
-                    store.make_interner() if store is not None else ValueInterner()
-                )
-                factory = NullFactory()
+                # The tables hold the ids of the source's canonical
+                # store, laid out as the id chase lays out its answer:
+                # program constants the source lacks take the ids after
+                # its constants, its nulls shift up by as many, and
+                # fresh nulls follow the whole table.
+                store = source.columnar()
+                extra: dict = {}
+                constant_ids = {
+                    c.value: store.extended_id(c.value, extra)
+                    for c in program.constants()
+                }
+                constants = store.constant_count + len(extra)
+
+                def bind(params, offset: int = 0) -> list[int]:
+                    return [
+                        offset if p is OFFSET
+                        else constants if p is CONSTANTS
+                        else constant_ids[p.value]
+                        for p in params
+                    ]
+
+                # Only a source holding nulls has ids to move.
+                shift = len(extra) if store.table_size() > store.constant_count else 0
                 loaded = 0
                 for relation, table, arity in program.source_tables:
                     if arity == 0:
                         continue
                     columns = ", ".join(f"c{i} BIGINT" for i in range(arity))
                     connection.execute(f"CREATE TABLE {table} ({columns})")
-                    if store is not None:
-                        count = store.counts[relation]
-                        if count:
-                            marks = ", ".join("?" * arity)
-                            connection.executemany(
-                                f"INSERT INTO {table} VALUES ({marks})",
-                                store.global_id_rows(relation),
-                            )
-                            loaded += count
-                        continue
-                    rows = source.rows(relation)
-                    if rows:
+                    count = store.counts[relation]
+                    if count:
+                        id_columns = store.columns[relation]
+                        if shift:
+                            first_null = store.constant_count
+                            id_columns = [
+                                [x if x < first_null else x + shift for x in column]
+                                for column in id_columns
+                            ]
                         marks = ", ".join("?" * arity)
-                        # Stream the codec straight into executemany —
-                        # no intermediate list of encoded rows.
                         connection.executemany(
                             f"INSERT INTO {table} VALUES ({marks})",
-                            map(row_codec(interner.id_of, arity), rows),
+                            zip(*id_columns),
                         )
-                        loaded += len(rows)
+                        loaded += count
                 if not select_only:
                     for _, table, arity in program.target_tables:
                         if arity == 0:
@@ -189,10 +196,10 @@ class SqlExchangeBackend:
                             f"c{i} BIGINT" for i in range(arity)
                         )
                         connection.execute(f"CREATE TABLE {table} ({columns})")
-                # Interning just saw every source value, so the label
-                # watermark is free — no second scan to seed the factory.
-                factory.reserve_through(interner.max_interned_label)
-                source_nulls = interner.null_count
+                factory = NullFactory()
+                factory.reserve_through(max(store.null_labels(), default=-1))
+                fresh_labels = array("q")
+                next_id = store.table_size() + len(extra)
                 timings["load"] = time.perf_counter() - started
                 if budget is not None:
                     budget.check(phase="backend.load")
@@ -210,86 +217,49 @@ class SqlExchangeBackend:
                 started = time.perf_counter()
                 facts = 0
                 firings = 0
-                fetched: dict[str, list] = {}
+                fetched: dict[str, list[list]] = {}
                 for tgd in program.tgds:
                     fused = tgd.fused_insert if self.fused_inserts else None
+                    # A statement mints firing k's j-th fresh null as
+                    # ``offset + k * existentials + j``; the labels
+                    # backing those ids are drawn after it ran.
+                    offset = next_id
                     if select_only:
                         # The firing count is the fetched row count, so
                         # this path needs no driver rowcount support.
                         statement = tgd.fused_insert
-                        offset = interner.next_null_id
                         rows = connection.execute(
-                            statement.select_sql,
-                            [
-                                offset if p is OFFSET else interner.id_of(p)
-                                for p in statement.params
-                            ],
+                            statement.select_sql, bind(statement.params, offset)
                         ).fetchall()
+                        fetched.setdefault(statement.table, []).append(rows)
                         count = len(rows)
-                        if count and tgd.existentials:
-                            first = interner.allocate_fresh_nulls(
-                                count * tgd.existentials, factory
-                            )
-                            if first != offset:  # pragma: no cover
-                                raise RuntimeError(
-                                    "fused select null-id offset drifted"
-                                )
-                        bucket = fetched.get(statement.table)
-                        if bucket is None:
-                            fetched[statement.table] = rows
-                        else:
-                            bucket.extend(rows)
-                        firings += count
                         facts += count
                     elif fused is not None:
                         # One statement: bindings inline as a derived
                         # table, no temp-table materialization and no
-                        # COUNT(*) pass.  The null-id offset is the
-                        # interner's next id; the rows the statement
-                        # minted are backed right after, so the ids
-                        # match by construction.
-                        offset = interner.next_null_id
-                        cursor = connection.execute(
-                            fused.sql,
-                            [
-                                offset if p is OFFSET else interner.id_of(p)
-                                for p in fused.params
-                            ],
-                        )
-                        count = cursor.rowcount
-                        if count and tgd.existentials:
-                            first = interner.allocate_fresh_nulls(
-                                count * tgd.existentials, factory
-                            )
-                            if first != offset:  # pragma: no cover
-                                raise RuntimeError(
-                                    "fused insert null-id offset drifted"
-                                )
-                        firings += count
+                        # COUNT(*) pass.
+                        count = connection.execute(
+                            fused.sql, bind(fused.params, offset)
+                        ).rowcount
                         facts += count
                     else:
                         connection.execute(
-                            tgd.bindings_sql,
-                            [interner.id_of(p) for p in tgd.bindings_params],
+                            tgd.bindings_sql, bind(tgd.bindings_params)
                         )
                         (count,) = connection.execute(
                             f"SELECT COUNT(*) FROM {tgd.bindings_table}"
                         ).fetchone()
-                        firings += count
-                        offset = 0
-                        if count and tgd.existentials:
-                            offset = interner.allocate_fresh_nulls(
-                                count * tgd.existentials, factory
-                            )
                         for insert in tgd.inserts:
                             connection.execute(
-                                insert.sql,
-                                [
-                                    offset if p is OFFSET else interner.id_of(p)
-                                    for p in insert.params
-                                ],
+                                insert.sql, bind(insert.params, offset)
                             )
                         facts += count * len(tgd.inserts)
+                    firings += count
+                    minted = count * tgd.existentials
+                    if minted:
+                        label = factory.fresh_block(minted)
+                        fresh_labels.extend(range(label, label + minted))
+                        next_id += minted
                     if budget is not None:
                         budget.check(facts=facts, phase="backend.execute")
                 timings["execute"] = time.perf_counter() - started
@@ -298,9 +268,17 @@ class SqlExchangeBackend:
                 rows_by_relation: dict[str, list[tuple[int, ...]]] = {}
                 if select_only:
                     for relation, table, arity in program.target_tables:
-                        if arity == 0:
+                        parts = fetched.get(table)
+                        if arity == 0 or not parts:
                             continue
-                        rows_by_relation[relation] = fetched.get(table, [])
+                        # Blocks writing one table can each emit the
+                        # same ground row; one writer's rows are
+                        # distinct (DISTINCT bindings, all projected).
+                        rows_by_relation[relation] = (
+                            parts[0]
+                            if len(parts) == 1
+                            else list(dict.fromkeys(chain.from_iterable(parts)))
+                        )
                 else:
                     # Laconic single-writer tables hold distinct rows by
                     # construction (the bindings are DISTINCT over
@@ -325,8 +303,9 @@ class SqlExchangeBackend:
                         rows_by_relation[relation] = connection.execute(
                             f"SELECT {dedup}* FROM {table}"
                         ).fetchall()
-                result = instance_from_id_rows(
-                    self.mapping.target, rows_by_relation, interner
+                result = _answer(
+                    self.mapping.target, store, extra, fresh_labels,
+                    rows_by_relation,
                 )
                 timings["extract"] = time.perf_counter() - started
             finally:
@@ -337,7 +316,11 @@ class SqlExchangeBackend:
             # accounts for them.  Nulls already present in the *source*
             # void the core guarantee (ten Cate et al. assume ground
             # sources), so only those count against the claim.
-            core = program.laconic and source_nulls == 0
+            core = (
+                program.laconic
+                and store.labeled_count == 0
+                and not store.skolem_count()
+            )
             span.set(
                 source_facts=loaded,
                 firings=firings,
@@ -357,6 +340,57 @@ class SqlExchangeBackend:
             "target_facts": result.size(),
         }
         return result
+
+
+def _answer(
+    schema: Schema,
+    source: ColumnStore,
+    extra: dict,
+    fresh_labels: array,
+    rows_by_relation: dict[str, list[tuple[int, ...]]],
+) -> Instance:
+    """The target instance over the fetched id rows, as a column store.
+
+    The rows' ids are the driver's: the source's constants then the
+    program's *extra* ones, the source's labelled nulls, its Skolem
+    values, then the fresh nulls.  A store keeps its Skolem values
+    after every labelled null, so when the source holds any, their ids
+    and the fresh nulls' ids swap places.  A target schema with a typed
+    attribute builds through the validating constructor, so a value of
+    the wrong type raises the interpreted path's ``TypeError``.
+    """
+    labels = array("q", source.null_labels())
+    labels.extend(fresh_labels)
+    skolems = source.skolem_values()
+    table_size = source.table_size() + len(extra) + len(fresh_labels)
+    code = width_code(table_size)
+    remap = None
+    if skolems:
+        label_end = source.constant_count + len(extra) + source.labeled_count
+        fresh_end = label_end + len(fresh_labels)
+        order = list(range(label_end))
+        order.extend(range(fresh_end, table_size))
+        order.extend(range(label_end, fresh_end))
+        remap = order.__getitem__
+    counts: dict[str, int] = {}
+    columns: dict[str, tuple[array, ...]] = {}
+    for name in schema.relation_names:
+        rows = rows_by_relation.get(name, ())
+        counts[name] = len(rows)
+        id_columns = zip(*rows) if rows else repeat((), schema[name].arity)
+        if remap is not None:
+            id_columns = (map(remap, column) for column in id_columns)
+        columns[name] = tuple(array(code, column) for column in id_columns)
+    raw_constants = source.raw_constants()
+    raw_constants.extend(extra)
+    answer = ColumnStore(
+        schema, raw_constants, labels, skolems, counts, columns
+    )
+    if all(
+        attr.type is AttributeType.ANY for rel in schema for attr in rel.attributes
+    ):
+        return Instance._from_store(schema, answer)
+    return Instance(schema, answer.materialize_relations())
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
 """Compiling st-tgd mappings to SQL (laconic rewrite included).
 
-The lowering is value-blind: every :class:`~repro.relational.values`
-value is interned to an integer id (:mod:`repro.relational.serialization`,
-constants below ``NULL_ID_BASE``, null-like values above), so source
-tables are plain integer tables and the whole exchange runs as
-``CREATE TEMP TABLE … AS SELECT`` + ``INSERT … SELECT`` statements:
+The lowering is value-blind: source tables are plain integer tables
+over the ids of the source's canonical column store
+(:meth:`~repro.relational.instance.Instance.columnar`), with constants
+below the constant-region size and labelled nulls and Skolem values
+above it, so the whole exchange runs as
+``CREATE TEMP TABLE … AS SELECT`` + ``INSERT … SELECT`` statements.
+Constants in the program and the constant-region size reach the SQL as
+parameters the driver binds at run time (:data:`CONSTANTS`), so the
+constant predicate ``C(x)`` is the comparison ``x < ?``:
 
 * each tgd premise becomes a SELECT over the source tables, FROM-ordered
   by the evaluator's greedy join order
@@ -44,10 +48,11 @@ from ..logic.evaluation import greedy_join_order
 from ..logic.formulas import Atom, ConstantPredicate, Equality, Inequality
 from ..logic.terms import Const, FuncTerm, Var
 from ..mapping.sttgd import SchemaMapping, StTgd
-from ..relational.serialization import NULL_ID_BASE
+from ..relational.values import Constant
 from ..stats import Statistics
 
 __all__ = [
+    "CONSTANTS",
     "CompilationReport",
     "FallbackReason",
     "OFFSET",
@@ -58,19 +63,26 @@ __all__ = [
 ]
 
 
-class _OffsetSentinel:
-    """Placeholder parameter bound to the fresh-null id offset at run time."""
+class _Parameter:
+    """A placeholder parameter the driver binds to a number at run time."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "<null-id-offset>"
+        return f"<{self.name}>"
 
     def __reduce__(self) -> str:
         # Unpickles as the module singleton: programs compare it by
         # identity, also in the HTTP server's worker processes.
-        return "OFFSET"
+        return self.name
 
 
-OFFSET = _OffsetSentinel()
+OFFSET = _Parameter("OFFSET")
+"""Bound to the id of the first fresh null a statement mints."""
+
+CONSTANTS = _Parameter("CONSTANTS")
+"""Bound to the constant-region size: ids below it are constants."""
 
 
 @dataclass(frozen=True)
@@ -152,10 +164,11 @@ class TgdSql:
     ``INSERT … SELECT`` over the bindings query inlined as a derived
     table, skipping the temp-table materialization and its ``COUNT(*)``
     pass entirely.  Using it requires the driver to (a) predict the
-    fresh-null id offset *before* executing (the interner's next null
-    id) and (b) read the firing count back from the statement's
-    rowcount — backends whose drivers report no rowcount for
-    ``INSERT … SELECT`` fall back to the temp-table form.
+    fresh-null id offset *before* executing (the next id after the
+    value table and the nulls minted so far) and (b) read the firing
+    count back from the statement's rowcount — backends whose drivers
+    report no rowcount for ``INSERT … SELECT`` fall back to the
+    temp-table form.
     """
 
     label: str
@@ -176,6 +189,14 @@ class SqlProgram:
     tgds: tuple[TgdSql, ...]
     laconic: bool
     index_hints: tuple[tuple[str, tuple[int, ...]], ...]  # (table, columns)
+
+    def constants(self) -> list[Constant]:
+        """The constant parameters of every statement, first occurrence first."""
+        seen: dict = {}
+        for tgd in self.tgds:
+            for params in (tgd.bindings_params, *(i.params for i in tgd.inserts)):
+                seen.update(dict.fromkeys(p for p in params if isinstance(p, Constant)))
+        return list(seen)
 
 
 # -- compilability ----------------------------------------------------------
@@ -363,7 +384,8 @@ class _PremiseSql:
                     f"{self._expr(literal.left)} <> {self._expr(literal.right)}"
                 )
             elif isinstance(literal, ConstantPredicate):
-                self.conds.append(f"{self._expr(literal.term)} < {NULL_ID_BASE}")
+                self.conds.append(f"{self._expr(literal.term)} < ?")
+                self.params.append(CONSTANTS)
 
     def _expr(self, term: object) -> str:
         if isinstance(term, Var):

@@ -437,12 +437,7 @@ def _chase_st_tgds_ids(
                     if not attr.type.accepts(raw):
                         return None
                     try:
-                        ident = store.peek_raw(raw)
-                        if ident is None:
-                            ident = new_consts.get(raw)
-                            if ident is None:
-                                ident = const_count + len(new_consts)
-                                new_consts[raw] = ident
+                        ident = store.extended_id(raw, new_consts)
                     except TypeError:
                         return None
                     ops.append((1, ident))

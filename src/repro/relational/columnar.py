@@ -23,7 +23,8 @@ The store backs three hot paths:
   pickled object graphs;
 * **id-space evaluation** — :func:`repro.logic.evaluation.evaluate`
   joins premises over int columns when a store is attached, and the SQL
-  backends bulk-load the id vectors straight into their tables.
+  backends bulk-load the id vectors straight into their tables and
+  build their answers as stores.
 
 Stores are immutable after construction (like instances) and attach to
 at most one instance; derived instances (``with_facts`` and friends)
@@ -491,6 +492,23 @@ class ColumnStore:
         except TypeError:  # unhashable scalar can never be in the table
             return None
 
+    def extended_id(self, raw: object, extra: dict) -> int:
+        """The id of the constant wrapping *raw* once *extra* extends the table.
+
+        Constants of this store keep their ids; one it lacks takes the
+        next id after the constant region, recorded in *extra* (raw →
+        id, in first-use order).  The labelled nulls and Skolem values
+        of a table extended this way shift up by ``len(extra)``.  The
+        id-space chase and the SQL driver lay out their answers by this
+        rule.  Raises ``TypeError`` for an unhashable *raw*.
+        """
+        ident = self.peek_raw(raw)
+        if ident is None:
+            ident = extra.get(raw)
+            if ident is None:
+                ident = extra[raw] = self.constant_count + len(extra)
+        return ident
+
     def id_rows(self, relation_name: str) -> Iterator[tuple[int, ...]]:
         """The relation's rows as id tuples (store order, C-speed zip)."""
         cols = self.columns[relation_name]
@@ -558,44 +576,6 @@ class ColumnStore:
                 if label > best:
                     best = label
         return best
-
-    def global_id_rows(self, relation_name: str) -> Iterator[tuple[int, ...]]:
-        """Rows as :class:`~repro.relational.serialization.ValueInterner` ids.
-
-        Local null ids are shifted up to the interner convention
-        (``NULL_ID_BASE + offset``); ground stores stream their columns
-        verbatim.  This is the SQL backends' zero-encode load path — see
-        :meth:`make_interner`.
-        """
-        from .serialization import NULL_ID_BASE
-
-        cols = self.columns[relation_name]
-        if not cols:
-            return iter(() for _ in range(self.counts[relation_name]))
-        table_size = self.table_size()
-        if self.constant_count == table_size:
-            return zip(*cols)
-        shift = NULL_ID_BASE - self.constant_count
-        trans = list(range(self.constant_count)) + [
-            shift + ident for ident in range(self.constant_count, table_size)
-        ]
-        return zip(*(map(trans.__getitem__, col) for col in cols))
-
-    def make_interner(self):
-        """A fresh :class:`ValueInterner` aligned with :meth:`global_id_rows`.
-
-        Constants intern in table order (ids ``0..C-1`` match the local
-        ids exactly) and nulls in table order (``NULL_ID_BASE + i``), so
-        rows streamed through :meth:`global_id_rows` decode through the
-        returned interner without any per-cell re-encoding.
-        """
-        from .serialization import ValueInterner
-
-        interner = ValueInterner()
-        id_of = interner.id_of
-        for value in self.values:
-            id_of(value)
-        return interner
 
     # -- fingerprint -------------------------------------------------------
 

@@ -1,34 +1,25 @@
-"""(De)serialization of schemas and instances: JSON and columnar ids.
+"""(De)serialization of schemas and instances as JSON.
 
-Two codecs live here:
-
-* The JSON codec — instances with labelled nulls and Skolem values
-  round-trip as tagged objects.  The encoding is stable (sorted facts)
-  so serialized instances diff cleanly, which the examples use to show
-  exchanged data.  :func:`instance_from_json` decodes straight into the
-  canonical column store, and :func:`fact_texts` /
-  :func:`instance_json_text` write a store-backed instance's JSON from
-  its id columns, one encoded text per distinct value.
-* The columnar id codec — :class:`ValueInterner` plus
-  :func:`encode_instance` / :func:`instance_from_id_rows`, the bulk
-  bridge the :mod:`repro.backends` SQL engines use to ship an instance
-  into integer tables (``executemany`` over interned ids) and read the
-  result back out without touching Python-level value objects per cell
-  more than once per *distinct* value.
+Instances with labelled nulls and Skolem values round-trip as tagged
+objects.  The encoding is stable (sorted facts) so serialized instances
+diff cleanly, which the examples use to show exchanged data.
+:func:`instance_from_json` decodes straight into the canonical column
+store, and :func:`fact_texts` / :func:`instance_json_text` write a
+store-backed instance's JSON from its id columns, one encoded text per
+distinct value.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from operator import add, itemgetter
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterator, Sequence
 
 from .instance import Instance, Row
 from .schema import Attribute, AttributeType, RelationSchema, Schema
-from .values import Constant, LabeledNull, NullFactory, SkolemValue, Value, constant
+from .values import Constant, LabeledNull, SkolemValue, Value, constant
 
 
 def value_to_json(value: Value) -> Any:
@@ -400,213 +391,3 @@ def dumps_schema(schema: Schema, indent: int | None = 2) -> str:
 def loads_schema(text: str) -> Schema:
     """Deserialize a schema from a JSON string."""
     return schema_from_json(json.loads(text))
-
-
-# -- columnar id codec (the SQL backends' instance ↔ table bridge) ----------
-
-NULL_ID_BASE = 1 << 40
-"""Ids below this encode constants, ids at or above it null-like values.
-
-The split lets the SQL lowering compile the constant predicate ``C(x)``
-to the integer comparison ``id < NULL_ID_BASE`` and mint fresh labelled
-nulls by pure row-id arithmetic without ever colliding with a constant.
-2^40 leaves both sides astronomically more headroom than any instance
-this system can hold in memory.
-"""
-
-
-class ValueInterner:
-    """A per-run bijection between :class:`Value` objects and integer ids.
-
-    Constants get dense ids counting up from 0; null-like values
-    (labelled nulls, Skolem values) count up from :data:`NULL_ID_BASE`.
-    The SQL backends intern the whole source instance on load, run the
-    exchange entirely over integers, and decode the extracted rows
-    through the same interner — so value identity (including source
-    nulls flowing into the target) survives the round trip exactly.
-
-    Fresh labelled nulls minted *inside* the database (by row-id
-    arithmetic in an ``INSERT … SELECT``) are registered afterwards via
-    :meth:`allocate_fresh_nulls`, which hands out a contiguous id range
-    and backs it with factory-fresh nulls, keeping :meth:`value_of`
-    total over everything the engine can return.
-    """
-
-    def __init__(self) -> None:
-        self._constant_ids: dict[Any, int] = {}
-        self._constants: list[Constant] = []
-        self._null_ids: dict[Value, int] = {}
-        self._null_by_id: dict[int, Value] = {}
-        # Engine-minted null blocks as (first_id, start_label, count):
-        # ids and labels inside a block line up arithmetically, so a
-        # block costs O(1) to register no matter how many nulls the
-        # statement minted, and decoding computes the null on demand.
-        self._minted: list[tuple[int, int, int]] = []
-        self._minted_total = 0
-        self._max_label = -1
-
-    def id_of(self, value: Value) -> int:
-        """The id of *value*, interning it on first sight."""
-        if type(value) is Constant:
-            # Key on the raw scalar: hashing it directly skips the
-            # generated dataclass ``__hash__`` (a Python-level call per
-            # lookup), and scalars that already compare equal as
-            # constants (1 vs True) collapse to one id either way.
-            raw = value.value
-            ident = self._constant_ids.get(raw)
-            if ident is None:
-                ident = len(self._constants)
-                self._constant_ids[raw] = ident
-                self._constants.append(value)
-            return ident
-        ident = self._null_ids.get(value)
-        if ident is not None:
-            return ident
-        if type(value) is LabeledNull:
-            label = value.label
-            for first, start, count in self._minted:
-                if start <= label < start + count:
-                    return first + (label - start)
-            if label > self._max_label:
-                self._max_label = label
-        ident = NULL_ID_BASE + len(self._null_by_id) + self._minted_total
-        self._null_ids[value] = ident
-        self._null_by_id[ident] = value
-        return ident
-
-    def value_of(self, ident: int) -> Value:
-        """The value behind *ident* (``KeyError`` for unknown ids)."""
-        if ident < NULL_ID_BASE:
-            try:
-                return self._constants[ident]
-            except IndexError:
-                raise KeyError(f"unknown interned value id {ident}") from None
-        value = self._null_by_id.get(ident)
-        if value is not None:
-            return value
-        for first, start, count in self._minted:
-            offset = ident - first
-            if 0 <= offset < count:
-                return LabeledNull(start + offset)
-        raise KeyError(f"unknown interned value id {ident}")
-
-    def allocate_fresh_nulls(self, count: int, factory: NullFactory) -> int:
-        """Back *count* engine-minted ids with fresh nulls; first id returned.
-
-        The SQL execute phase mints null ids as ``first + k`` for
-        ``k < count``; registering the block here makes decoding total.
-        The whole block is one range record — nothing is materialized
-        until :meth:`value_of` actually decodes an id, so minting a
-        million nulls costs the same as minting one.
-        """
-        first = NULL_ID_BASE + len(self._null_by_id) + self._minted_total
-        start = factory.fresh_block(count)
-        self._minted.append((first, start, count))
-        self._minted_total += count
-        return first
-
-    @property
-    def null_count(self) -> int:
-        """How many null-like values (source + minted) are interned."""
-        return len(self._null_by_id) + self._minted_total
-
-    @property
-    def max_interned_label(self) -> int:
-        """Largest :class:`LabeledNull` label interned so far (−1 if none).
-
-        Tracked during :meth:`id_of`, so callers that intern a whole
-        source instance get the label watermark to seed a
-        :class:`NullFactory` with — no second scan over the values.
-        """
-        return self._max_label
-
-    @property
-    def next_null_id(self) -> int:
-        """The id the next interned or minted null will receive.
-
-        Fused ``INSERT … SELECT`` statements need the fresh-null offset
-        *before* the firing count is known; this is that offset, and
-        :meth:`allocate_fresh_nulls` called immediately after returns
-        exactly it.
-        """
-        return NULL_ID_BASE + len(self._null_by_id) + self._minted_total
-
-    def has_interned_nulls(self) -> bool:
-        """Whether any null-like value was interned (core caveat check)."""
-        return bool(self._null_by_id) or self._minted_total > 0
-
-
-def row_codec(fn, arity: int):
-    """A per-row codec applying *fn* to every cell of an *arity*-row.
-
-    Tuple displays beat ``tuple(map(fn, row))`` by ~12% at the short
-    arities relations actually have (measured), and within one relation
-    the arity is fixed, so the dispatch happens once per relation rather
-    than once per row.  Wider rows fall back to the generic form.
-    """
-    if arity == 1:
-        return lambda r: (fn(r[0]),)
-    if arity == 2:
-        return lambda r: (fn(r[0]), fn(r[1]))
-    if arity == 3:
-        return lambda r: (fn(r[0]), fn(r[1]), fn(r[2]))
-    if arity == 4:
-        return lambda r: (fn(r[0]), fn(r[1]), fn(r[2]), fn(r[3]))
-    return lambda r: tuple(map(fn, r))
-
-
-def encode_rows(
-    rows: Iterable[Sequence[Value]], interner: ValueInterner
-) -> list[tuple[int, ...]]:
-    """Encode value rows as id tuples, ready for ``executemany``."""
-    it = iter(rows)
-    head = next(it, None)
-    if head is None:
-        return []
-    codec = row_codec(interner.id_of, len(head))
-    encoded = [codec(head)]
-    encoded.extend(map(codec, it))
-    return encoded
-
-
-def encode_instance(
-    instance: Instance, interner: ValueInterner
-) -> dict[str, list[tuple[int, ...]]]:
-    """Encode every relation of *instance* as id rows (bulk load shape)."""
-    return {
-        name: encode_rows(instance.rows(name), interner)
-        for name in instance.relation_names()
-    }
-
-
-def instance_from_id_rows(
-    schema: Schema,
-    rows_by_relation: dict[str, Iterable[Sequence[int]]],
-    interner: ValueInterner,
-) -> Instance:
-    """Decode id rows straight into an :class:`Instance` (bulk extract).
-
-    When every attribute of *schema* is untyped (``AttributeType.ANY``,
-    the exchange-target common case) the instance is assembled through
-    the trusted fast constructor — the rows came out of the backend's
-    own tables, so arity and value-kind are correct by construction.
-    Typed schemas go through the validating constructor instead so type
-    errors surface exactly as they would on the interpreted path.
-    """
-    value_of = interner.value_of
-    decoded: dict[str, frozenset] = {}
-    for name in schema.relation_names:
-        it = iter(rows_by_relation.get(name, ()))
-        head = next(it, None)
-        if head is None:
-            decoded[name] = frozenset()
-            continue
-        codec = row_codec(value_of, len(head))
-        decoded[name] = frozenset(
-            itertools.chain((codec(head),), map(codec, it))
-        )
-    if all(
-        attr.type is AttributeType.ANY for rel in schema for attr in rel.attributes
-    ):
-        return Instance._unsafe(schema, decoded)
-    return Instance(schema, decoded)
