@@ -3,12 +3,20 @@
 Measures ``ExchangeService(mapping, ExchangeOptions(cache=…,
 backend=…))`` on a clustered join workload (``Emp(n, d), Dept(d, h) →
 ∃m Office(n, h, m)`` with ``size`` employees spread over ``size //
-dept_ratio`` departments): a cold exchange (the first one fills the
-cache, the rest are serial chases of fresh copies) vs
-a cache hit.  Hits are measured on *fresh equal copies* of the source,
-so each timed hit pays the full content-fingerprint cost a request
-stream would pay.  ``--backend sqlite`` runs the cached service on the
-SQL backend and additionally records the backend's bare cold exchange
+dept_ratio`` departments) against two cold baselines:
+
+* ``cold_seconds`` / ``hit_speedup``: the value-space chase
+  (``universal_solution``; the first cold run fills the cache, the
+  rest chase fresh copies);
+* ``id_path_seconds`` / ``hit_speedup_vs_id_path``: the same service
+  without a cache, ``ExchangeService(mapping,
+  ExchangeOptions(backend=…))`` on fresh copies, which is what a cache
+  miss costs (the id-space chase when interpreted).
+
+Hits are measured on *fresh equal copies* of the source, so each timed
+hit pays the full content-fingerprint cost a request stream would pay.
+``--backend sqlite`` runs both services on the SQL backend and
+additionally records the backend's bare cold exchange
 (``backend_seconds``, informational).
 
 The file keeps its name for continuity: it once also measured
@@ -18,7 +26,7 @@ intra-request sharding, which was removed (docs/PERFORMANCE.md,
 Results go to ``BENCH_parallel.json``.  Check for CI:
 
 * ``--check-cache MIN`` — cache hits must be nonzero and at least
-  ``MIN``× faster than the cold exchange (exit 1 otherwise).
+  ``MIN``× faster than the cold value-space chase (exit 1 otherwise).
 
 Run::
 
@@ -32,15 +40,20 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics as pystats
 import sys
 import time
 from pathlib import Path
 
-from repro import ExchangeOptions, ExchangeService
-from repro.exec import ExchangeCache
-from repro.mapping import SchemaMapping, universal_solution
-from repro.relational import instance, relation, schema
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT))
+
+from benchmarks.e2e.harness import git_sha  # noqa: E402
+from repro import ExchangeOptions, ExchangeService  # noqa: E402
+from repro.exec import ExchangeCache  # noqa: E402
+from repro.mapping import SchemaMapping, universal_solution  # noqa: E402
+from repro.relational import instance, relation, schema  # noqa: E402
 
 
 def build_setting(size: int, dept_ratio: int):
@@ -85,12 +98,21 @@ def backend_for(mapping, name: str):
     return plan.backend
 
 
-def timed(fn, repeat: int) -> list[float]:
-    samples = []
+def timed(fresh_source, repeat: int, *fns) -> list[list[float]]:
+    """Each of *fns* timed on *repeat* fresh copies of the source.
+
+    The calls take turns (``fns[0]``, ``fns[1]``, …, then ``fns[0]``
+    again), so a slow spell of a shared host falls on every column
+    alike: timed one column after the other, 40k-row hits read 85 ms in
+    some runs and 120–145 ms in others against a steady id path.
+    """
+    samples: list[list[float]] = [[] for _ in fns]
     for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - start)
+        for fn, column in zip(fns, samples):
+            copy = fresh_source()
+            start = time.perf_counter()
+            fn(copy)
+            column.append(time.perf_counter() - start)
     return samples
 
 
@@ -124,47 +146,54 @@ def main() -> int:
         cached = ExchangeService(
             mapping, ExchangeOptions(cache=cache, backend=args.backend)
         )
-        cold_copies = [fresh_source() for _ in range(args.repeat)]
-        cold = timed(lambda: cached.exchange(cold_copies[0]), 1)  # fills
-        cold += [
-            t
-            for copy in cold_copies[1:]
-            for t in timed(lambda: universal_solution(mapping, copy), 1)
-        ]
+        (cold,) = timed(fresh_source, 1, cached.exchange)  # fills the cache
+        cold += timed(
+            fresh_source,
+            args.repeat - 1,
+            lambda copy: universal_solution(mapping, copy),
+        )[0]
         # each timed hit uses a fresh equal copy: the fingerprint is
         # recomputed, the exchange is not.
-        hit_copies = [fresh_source() for _ in range(args.repeat)]
-        hits = [
-            t for copy in hit_copies for t in timed(lambda: cached.exchange(copy), 1)
-        ]
+        uncached = ExchangeService(mapping, ExchangeOptions(backend=args.backend))
+        hits, id_path = timed(
+            fresh_source, args.repeat, cached.exchange, uncached.exchange
+        )
+        hit = pystats.median(hits)
         entry = {
             "size": size,
             "cold_seconds": pystats.median(cold),
-            "hit_seconds": pystats.median(hits),
-            "hit_speedup": pystats.median(cold) / pystats.median(hits),
+            "id_path_seconds": pystats.median(id_path),
+            "hit_seconds": hit,
+            "hit_speedup": pystats.median(cold) / hit,
+            "hit_speedup_vs_id_path": pystats.median(id_path) / hit,
             "cache_hits": cache.hits,
             "cache_misses": cache.misses,
         }
         backend = backend_for(mapping, args.backend)
         if backend is not None:
-            copies = [fresh_source() for _ in range(args.repeat)]
             entry["backend_seconds"] = pystats.median(
-                t for copy in copies for t in timed(lambda: backend.exchange(copy), 1)
+                timed(fresh_source, args.repeat, backend.exchange)[0]
             )
         cache_results.append(entry)
         print(
             f"cache    size={size:>6}: cold {entry['cold_seconds']:.4f}s  "
-            f"hit {entry['hit_seconds']:.5f}s  ({entry['hit_speedup']:.0f}x, "
+            f"id path {entry['id_path_seconds']:.4f}s  "
+            f"hit {entry['hit_seconds']:.5f}s  ({entry['hit_speedup']:.1f}x "
+            f"cold, {entry['hit_speedup_vs_id_path']:.2f}x id path, "
             f"{entry['cache_hits']} hits)"
         )
 
     payload = {
         "benchmark": "parallel_exchange",
-        "description": "fingerprint-keyed solution cache vs a cold exchange",
+        "description": "fingerprint-keyed solution cache vs a cold exchange "
+        "(value-space chase) and vs the uncached service (id path)",
+        "host": platform.node(),
         "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "git_sha": git_sha(ROOT),
         "backend": args.backend,
         "dept_ratio": args.dept_ratio,
-        "repeat": args.repeat,
+        "repeats": args.repeat,
         "statistic": "median over repeats (fresh equal source copies)",
         "cache": cache_results,
     }

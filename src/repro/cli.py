@@ -839,14 +839,12 @@ def _serve_bench_http(
         )
     except BackendUnavailableError as exc:
         raise CliError(str(exc))
+    # No per-request id: equal sources send equal bytes, as a client
+    # repeating a request does, so --data with --cache reaches the
+    # server's decoded-body memo.
     bodies = [
-        {
-            "source": instance_to_json(source),
-            "tenant": "bench",
-            "request_id": f"bench-{index}",
-            "stream": True,
-        }
-        for index, source in enumerate(sources)
+        {"source": instance_to_json(source), "tenant": "bench", "stream": True}
+        for source in sources
     ]
     latencies: list[float] = []
     degraded: dict[str, int] = {}
@@ -1024,6 +1022,7 @@ def _pool_counters(counters: dict) -> dict[str, int]:
     """The worker-pool and cache figures of a serve-bench report."""
     return {
         "cache_hits": int(counters.get("exchange.cache.hits", 0)),
+        "repeats": int(counters.get("service.http.repeats", 0)),
         "retries": int(counters.get("service.retries", 0)),
         "pool_failures": int(counters.get("exchange.pool.failures", 0)),
         "breaker_opens": int(counters.get("service.breaker_open", 0)),

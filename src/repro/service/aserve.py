@@ -20,6 +20,18 @@ included.  A cache miss runs in one of two places:
   ``loop.run_in_executor``, so a slow exchange cannot starve its
   neighbours' accepts or streams.
 
+A byte-identical repeat is not decoded again.  With a solution cache
+(``--cache N``) the server keeps a bounded LRU, of the cache's
+capacity, from the SHA-256 digest of a body's bytes to the
+:class:`ExchangeRequest` (and ``stream`` flag) that body decoded to.
+A repeat reuses that immutable request, whose source already holds its
+column store and memoized fingerprint, so the cache lookup in
+:meth:`ExchangeService.plan` is a dict lookup.  ``plan`` still runs for
+every request: admission, quotas, option checks and counters are
+unchanged.  Only token-free bodies that decoded cleanly are kept, so a
+continuation stays one-shot and a malformed body is a 400 every time.
+Without a cache there is no memo.
+
 Pool failures (spawn errors, a killed worker) are retried with
 exponential backoff + jitter under the service's
 :class:`~repro.options.RetryPolicy`; repeated failures open the
@@ -55,9 +67,11 @@ speak through it.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import signal
 import time
+from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Awaitable, Callable, Mapping
@@ -185,6 +199,12 @@ class ExchangeServer:
         self.workers = service.options.workers or 2
         self._pool: ProcessPoolExecutor | None = None
         self._rng = service.options.retry.rng()
+        # Body digest → (request, stream), only beside a solution cache.
+        cache = service.engine.cache
+        self._decoded: OrderedDict[bytes, tuple[ExchangeRequest, bool]] | None = (
+            OrderedDict() if cache is not None else None
+        )
+        self._decoded_capacity = cache.capacity if cache is not None else 0
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -390,6 +410,8 @@ class ExchangeServer:
                 try:
                     content_length = int(value.strip())
                 except ValueError:
+                    content_length = -1  # rejected below, like a negative one
+                if content_length < 0:
                     raise _HttpError(400, "bad-request", "bad Content-Length")
         if content_length > self._max_body_bytes:
             raise _HttpError(
@@ -427,7 +449,20 @@ class ExchangeServer:
 
     # -- the exchange route --------------------------------------------------
 
-    async def _exchange(self, writer: asyncio.StreamWriter, body: bytes) -> None:
+    def _decode(self, body: bytes) -> tuple[ExchangeRequest, bool, bool]:
+        """*body* as ``(request, stream, repeat)``.
+
+        ``repeat`` is true when the request comes from the decoded-body
+        memo: the same bytes decoded before, and the same request object
+        is returned (see the module docstring).
+        """
+        memo = self._decoded
+        if memo is not None:
+            digest = hashlib.sha256(body).digest()
+            hit = memo.get(digest)
+            if hit is not None:
+                memo.move_to_end(digest)
+                return (*hit, True)
         try:
             data = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -437,6 +472,14 @@ class ExchangeServer:
         except ValueError as exc:
             raise _HttpError(400, "bad-request", str(exc))
         stream = bool(data.get("stream", True))
+        if memo is not None and request.token is None:
+            memo[digest] = (request, stream)
+            if len(memo) > self._decoded_capacity:
+                memo.popitem(last=False)
+        return request, stream, False
+
+    async def _exchange(self, writer: asyncio.StreamWriter, body: bytes) -> None:
+        request, stream, repeat = self._decode(body)
         try:
             plan = self._service.plan(request)
         except ValueError as exc:
@@ -458,6 +501,8 @@ class ExchangeServer:
         registry = get_registry()
         with plan:
             registry.increment("service.http.requests")
+            if repeat:
+                registry.increment("service.http.repeats")
             inline = plan.cached is None and self._runs_inline(plan)
             with get_tracer().span(
                 "service.http",
@@ -465,6 +510,7 @@ class ExchangeServer:
                 request_id=request.request_id,
                 stream=stream,
                 inline=inline,
+                repeat=repeat,
             ):
                 try:
                     if plan.cached is not None:

@@ -153,8 +153,39 @@ class TestExchangeOverHttp:
             err = run(with_server(service, go))
         assert err.status == 400
 
+    @pytest.mark.parametrize("length", ["-5", "five"])
+    def test_bad_content_length_is_400(self, length):
+        async def go(port):
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            writer.write(
+                b"POST /v1/exchange HTTP/1.1\r\nContent-Length: %s\r\n\r\n{}"
+                % length.encode()
+            )
+            await writer.drain()
+            reply = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            return reply
 
-SRC_JSON = instance_to_json(simple_source(1))["schema"]
+        async def serve():
+            server = ExchangeServer(service, host="127.0.0.1", port=0)
+            await server.start()
+            try:
+                return await go(server.port)
+            finally:
+                await server.aclose()
+
+        with ExchangeService(simple_mapping()) as service:
+            reply = run(serve())
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400")
+        assert json.loads(body) == {
+            "error": "bad Content-Length",
+            "kind": "bad-request",
+        }
+
+
+SRC_JSON =instance_to_json(simple_source(1))["schema"]
 
 MALFORMED_SOURCES = {
     "unknown relation": {
